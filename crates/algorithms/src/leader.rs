@@ -72,7 +72,7 @@ pub fn elect_leader<L: Label>(g: &LabeledGraph<L>) -> Result<LeaderOutcome> {
 /// `Ok` only when a duplicate exists, and an internal invariant violation
 /// otherwise — callers reach this only after observing non-discreteness.
 fn duplicate_views<L: Label>(g: &LabeledGraph<L>) -> Result<(usize, usize)> {
-    let r = anonet_views::BoundedRefinement::compute(g, ViewMode::Portless);
+    let r = anonet_views::Refinement::compute(g, ViewMode::Portless);
     let classes = r.classes();
     for u in 0..classes.len() {
         for v in (u + 1)..classes.len() {

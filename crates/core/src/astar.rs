@@ -36,9 +36,9 @@
 //!   (outputs, output phases, final bits, phase counts) across problem
 //!   families and adversarial schedules.
 //!
-//! [`run_astar_threaded`] additionally fans the per-node phase loop across
-//! an [`anonet_batch`] scoped thread pool; results are committed in node
-//! order, so the run is byte-identical at every thread count.
+//! Both engines walk the nodes of a phase sequentially. The instances on
+//! which the enumeration is feasible are a few dozen nodes, and there a
+//! thread fan-out of the node loop costs more than it saves (E17).
 //!
 //! On *successful* runs the engines agree exactly. On runs that abort with
 //! a budget or view error the fast path may surface a different (equally
@@ -50,9 +50,8 @@
 //! instances of experiments E3/E9/E17, with the engineering-grade path
 //! provided by [`crate::derandomizer`].
 
-use anonet_batch::{BatchScheduler, JobResult};
 use anonet_graph::{distance, BitString, Label, LabeledGraph, NodeId};
-use anonet_obs::{names, NoopRecorder, Recorder, SharedRecorder, Span};
+use anonet_obs::{names, NoopRecorder, Recorder, Span};
 use anonet_runtime::{
     run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, Problem, TapeSource,
 };
@@ -178,92 +177,6 @@ where
     Err(CoreError::PhaseBudgetExceeded { phases: cfg.max_phases })
 }
 
-/// [`run_astar_observed`] with the per-node phase loop fanned across
-/// `threads` scoped workers on an [`anonet_batch::BatchScheduler`]. Node
-/// steps only read shared phase state and write their own slot, and the
-/// coordinator commits results in node order, so the run is
-/// **byte-identical** to [`run_astar`] at every thread count (`threads ==
-/// 0` is treated as 1). Tracing is causal across the fan-out: the
-/// scheduler adopts the `astar` span as parent (via
-/// [`anonet_obs::TraceContext`]), so worker-side `update_*` spans nest
-/// below `astar/batch_run/job` instead of becoming fresh per-thread
-/// roots, and the per-phase tree reduces to the sequential one once the
-/// scheduler segments are erased
-/// ([`MemorySnapshot::reduced_span_paths`][anonet_obs::MemorySnapshot::reduced_span_paths]).
-///
-/// # Errors
-///
-/// See [`run_astar`]; the first failing node in node order wins.
-///
-/// # Panics
-///
-/// Re-raises panics from node jobs (the scheduler isolates them; a panic
-/// in `A_*`'s per-node step is a bug, not a recoverable outcome).
-pub fn run_astar_threaded<A, P, C>(
-    alg: &A,
-    problem: &P,
-    instance: &LabeledGraph<(A::Input, C)>,
-    cfg: &AStarConfig,
-    threads: usize,
-    recorder: &SharedRecorder,
-) -> Result<AStarRun<A::Output>>
-where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send,
-    P: Problem<Input = A::Input>,
-    C: Label + Sync,
-{
-    let rec: &dyn Recorder = &**recorder;
-    let _astar_span = Span::new(rec, names::SPAN_ASTAR);
-    let g = instance.graph();
-    let n = g.node_count();
-    let mut state = AStarState::new(n);
-    let mut cache: AstarCache<A::Input, C> = AstarCache::new();
-    let scheduler =
-        BatchScheduler::with_threads(threads.max(1)).with_recorder(std::sync::Arc::clone(recorder));
-    let nodes: Vec<NodeId> = g.nodes().collect();
-
-    for p in 1..=cfg.max_phases {
-        state.equivalent_rounds += p;
-        let ip = augment(instance, &state.bits)?;
-        let keys = prepare_phase(&mut cache, problem, &ip, p, cfg, rec)?;
-        // Jobs wrap the node step's typed result in their Ok value, so
-        // the scheduler never renders a CoreError to a string; the commit
-        // below propagates the first error in node order.
-        let outcome = scheduler.run(&nodes, |_, &v| {
-            Ok::<Result<NodeOutcome<A::Output>>, String>(astar_node_step(
-                alg,
-                &ip,
-                v,
-                p,
-                keys[v.index()],
-                &cache,
-                cfg,
-                rec,
-            ))
-        });
-        let results: Vec<Result<NodeOutcome<A::Output>>> = outcome
-            .results
-            .into_iter()
-            .map(|r| match r {
-                JobResult::Ok(inner) => inner,
-                JobResult::Failed(msg) => {
-                    Err(CoreError::internal(format!("A_* node jobs never return Err: {msg}")))
-                }
-                // Re-raising keeps the sequential panic semantics: a panic
-                // in a node step aborts the run either way.
-                // anonet-lint: allow(panic-hygiene, reason = "re-raises a worker panic to preserve sequential semantics")
-                JobResult::Panicked(msg) => panic!("A_* node job panicked: {msg}"),
-            })
-            .collect();
-        if let Some(done) = state.commit_phase(results, p)? {
-            return Ok(done);
-        }
-    }
-    Err(CoreError::PhaseBudgetExceeded { phases: cfg.max_phases })
-}
-
 /// `I^p`: the instance augmented with the current bitstring labels.
 fn augment<I: Label, C: Label>(
     instance: &LabeledGraph<(I, C)>,
@@ -298,8 +211,9 @@ where
 
 /// What one node's phase step produced: its adopted output (if the
 /// simulation succeeded) and its extended bitstring (if an extension
-/// succeeded). Only node `v` ever writes slot `v`, which is what makes
-/// the parallel fan-out commit deterministic.
+/// succeeded). Phase outcomes are computed for every node against the
+/// same phase state and only then committed, so no node sees another's
+/// phase-`p` result.
 struct NodeOutcome<O> {
     output: Option<O>,
     new_bits: Option<BitString>,
@@ -376,8 +290,8 @@ where
     Ok(NodeOutcome { output, new_bits })
 }
 
-/// Mutable run state shared by the engines; phase results are committed
-/// in node order regardless of the order they were computed in.
+/// Mutable run state of the fast engine; a phase's node outcomes are
+/// committed together, in node order, after all of them are computed.
 struct AStarState<O> {
     bits: Vec<BitString>,
     outputs: Vec<Option<O>>,
@@ -745,25 +659,6 @@ mod tests {
         let reference =
             run_astar_reference(&RandomizedMatching::<u32>::new(), &MatchingProblem, &p2, &cfg);
         assert_runs_identical(&fast.unwrap(), &reference.unwrap());
-    }
-
-    #[test]
-    fn threaded_astar_is_byte_identical_at_every_thread_count() {
-        let cfg = AStarConfig::default();
-        let inst = triangle_instance();
-        let sequential = run_astar(&RandomizedMis::new(), &MisProblem, &inst, &cfg).unwrap();
-        for threads in [1usize, 2, 8] {
-            let par = run_astar_threaded(
-                &RandomizedMis::new(),
-                &MisProblem,
-                &inst,
-                &cfg,
-                threads,
-                &anonet_obs::noop(),
-            )
-            .unwrap();
-            assert_runs_identical(&par, &sequential);
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use anonet_batch::{CachedAssignment, DerandCache};
 use anonet_graph::{BitString, Label, LabeledGraph};
 use anonet_obs::{names, noop, Recorder, SharedRecorder, Span};
 use anonet_runtime::{run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, TapeSource};
-use anonet_views::{canonical_order, quotient, thread_arena_stats, BoundedRefinement, ViewMode};
+use anonet_views::{canonical_order, quotient, thread_arena_stats, ViewMode};
 
 use crate::search::{canonical_successful_simulation, SearchStrategy};
 use crate::Result;
@@ -176,11 +176,7 @@ where
         if observing {
             rec.histogram(names::DERAND_QUOTIENT_NODES, q.graph().node_count() as u64);
             rec.histogram(names::DERAND_MULTIPLICITY, q.multiplicity().unwrap_or(0) as u64);
-            rec.histogram(
-                names::DERAND_VIEW_DEPTH,
-                BoundedRefinement::compute(instance, ViewMode::Portless).stabilization_depth()
-                    as u64,
-            );
+            rec.histogram(names::DERAND_VIEW_DEPTH, q.stabilization_depth() as u64);
         }
 
         // Step 1½: the content address s(G_*) — free, the canonical order

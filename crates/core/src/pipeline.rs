@@ -85,34 +85,15 @@ where
     A: ObliviousAlgorithm + Clone,
     A::Input: Label,
 {
-    run_pipeline_with_config(alg, net, seed, strategy, &ExecConfig::default())
+    run_pipeline_cached(alg, net, seed, strategy, &ExecConfig::default(), None)
 }
 
-/// [`run_pipeline`] with an explicit execution config for both stages.
-///
-/// # Errors
-///
-/// See [`run_pipeline`].
-pub fn run_pipeline_with_config<A>(
-    alg: &A,
-    net: &LabeledGraph<A::Input>,
-    seed: u64,
-    strategy: SearchStrategy,
-    config: &ExecConfig,
-) -> Result<PipelineRun<A::Output>>
-where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
-{
-    run_pipeline_cached(alg, net, seed, strategy, config, None)
-}
-
-/// [`run_pipeline_with_config`] with an optional content-addressed
-/// [`DerandCache`] handle for the deterministic stage. Stage 1 (the
-/// randomized coloring) is never cached — it is seed-dependent by design —
-/// but two different seeds frequently color a graph into the *same*
-/// quotient up to isomorphism, so stage-2 sharing kicks in even within a
-/// single network.
+/// [`run_pipeline`] with an explicit execution config for both stages and
+/// an optional content-addressed [`DerandCache`] handle for the
+/// deterministic stage. Stage 1 (the randomized coloring) is never cached
+/// — it is seed-dependent by design — but two different seeds frequently
+/// color a graph into the *same* quotient up to isomorphism, so stage-2
+/// sharing kicks in even within a single network.
 ///
 /// # Errors
 ///
@@ -203,6 +184,7 @@ mod tests {
     use anonet_graph::coloring::is_two_hop_coloring;
     use anonet_graph::generators;
     use anonet_runtime::Problem;
+    use anonet_views::{Refinement, ViewMode};
 
     #[test]
     fn pipeline_solves_mis_on_many_graphs() {
@@ -288,7 +270,13 @@ mod tests {
             snap.histogram(names::DERAND_QUOTIENT_NODES).unwrap().max(),
             Some(run.deterministic.quotient_nodes as u64)
         );
-        assert_eq!(snap.histogram(names::DERAND_VIEW_DEPTH).unwrap().count(), 1);
+        // The recorded view depth is the refinement depth of the colored
+        // instance that stage 2 derandomized.
+        let instance = net.zip(&net.graph().with_labels(run.coloring.clone()).unwrap()).unwrap();
+        let depth = Refinement::compute(&instance, ViewMode::Portless).stabilization_depth();
+        let view_depth = snap.histogram(names::DERAND_VIEW_DEPTH).unwrap();
+        assert_eq!(view_depth.count(), 1);
+        assert_eq!(view_depth.sum(), depth as u128);
         // No cache attached: no cache counters.
         assert_eq!(snap.counter(names::CACHE_HIT) + snap.counter(names::CACHE_MISS), 0);
         // The observed run computes the same thing as the plain one.

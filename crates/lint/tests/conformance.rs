@@ -30,8 +30,8 @@ fn determinism_fixtures() {
     assert_eq!(count(&fail, "determinism"), 3, "{:?}", fail.findings);
     let pass = check_fixture("pass/determinism.rs", "crates/graph/src/fixture.rs");
     assert_eq!(count(&pass, "determinism"), 0, "{:?}", pass.findings);
-    // The dirty-set pattern specifically lands in the views scope: the
-    // incremental refinement worklist must sweep in sorted order.
+    // The dirty-set pattern specifically lands in the views scope, where
+    // canonical class ids must not depend on hash order.
     let views = check_fixture("fail/determinism.rs", "crates/views/src/refinement.rs");
     assert_eq!(count(&views, "determinism"), 3, "{:?}", views.findings);
     let views_pass = check_fixture("pass/determinism.rs", "crates/views/src/refinement.rs");

@@ -228,7 +228,7 @@ pub fn check_headlines(bench_dir: &Path) -> DiffOutcome {
         ("BENCH_batch.json", &["byte_identical"]),
         ("BENCH_astar.json", &["byte_identical"]),
         ("BENCH_store.json", &["byte_identical", "warm_strictly_better"]),
-        ("BENCH_scale.json", &["byte_identical", "incremental_matches", "speedup_ok"]),
+        ("BENCH_scale.json", &["byte_identical"]),
     ];
     for (file, flags) in headlines {
         let path = bench_dir.join(file);
@@ -479,15 +479,15 @@ mod tests {
         assert_eq!(outcome.regressions.len(), 1);
         assert_eq!(outcome.regressions[0].field, "warm_strictly_better");
 
-        // The scale headline gates all three of its flags.
-        std::fs::write(
-            dir.join("BENCH_scale.json"),
-            "{\"byte_identical\": true, \"incremental_matches\": true, \"speedup_ok\": false}",
-        )
-        .expect("write headline");
+        // The scale headline gates its arena ≡ recursive flag.
+        std::fs::write(dir.join("BENCH_scale.json"), "{\"byte_identical\": false}")
+            .expect("write headline");
         let outcome = check_headlines(&dir);
         assert!(!outcome.passed());
-        assert!(outcome.regressions.iter().any(|r| r.field == "speedup_ok"));
+        assert!(outcome
+            .regressions
+            .iter()
+            .any(|r| r.cell == "BENCH_scale.json" && r.field == "byte_identical"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -70,10 +70,7 @@ pub use folded::FoldedView;
 pub use interner::{Interner, Sym};
 pub use order::{canonical_encoding, canonical_order, update_graph_cmp};
 pub use quotient::{quotient, ViewQuotient};
-pub use refinement::{
-    assign_dense_classes, initial_label_classes, round_keys, BoundedRefinement, EngineStats,
-    Refinement, RefinementEngine, RoundKey, ViewMode,
-};
+pub use refinement::{Refinement, ViewMode};
 pub use view_tree::ViewTree;
 
 /// Convenient alias for results with [`ViewError`].

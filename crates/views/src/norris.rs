@@ -3,7 +3,7 @@
 
 use anonet_graph::{Label, LabeledGraph};
 
-use crate::refinement::{BoundedRefinement, ViewMode};
+use crate::refinement::{Refinement, ViewMode};
 
 /// The outcome of checking Norris' bound on one graph.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,9 +34,8 @@ impl NorrisReport {
 }
 
 /// Runs refinement and reports stabilization depth against Norris' bound.
-/// Uses the bounded engine — only counts and depth are consumed.
 pub fn norris_report<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> NorrisReport {
-    let r = BoundedRefinement::compute(g, mode);
+    let r = Refinement::compute(g, mode);
     NorrisReport {
         nodes: g.node_count(),
         classes: r.class_count(),
@@ -49,7 +48,7 @@ pub fn norris_report<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> NorrisRep
 /// equals the stable partition. (`stabilization_depth + 1` in view terms:
 /// refinement round `k` corresponds to views of depth `k + 1`.)
 pub fn sufficient_view_depth<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> usize {
-    BoundedRefinement::compute(g, mode).stabilization_depth() + 1
+    Refinement::compute(g, mode).stabilization_depth() + 1
 }
 
 #[cfg(test)]
@@ -102,7 +101,7 @@ mod tests {
     fn sufficient_view_depth_matches() {
         let g = generators::path(8).unwrap().with_uniform_label(0u32);
         let d = sufficient_view_depth(&g, ViewMode::Portless);
-        let r = crate::refinement::Refinement::compute(&g, ViewMode::Portless);
+        let r = Refinement::compute(&g, ViewMode::Portless);
         assert_eq!(d, r.stabilization_depth() + 1);
         assert!(d <= 8);
     }

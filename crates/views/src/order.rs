@@ -12,15 +12,18 @@ use crate::Result;
 ///
 /// The paper orders `V_∞` by comparing canonical representations of the
 /// depth-∞ view trees level by level. We use the equivalent
-/// isomorphism-invariant order given by the *refinement history*: node `u`
-/// precedes node `v` if the vector `(class₀(u), class₁(u), …)` precedes
-/// `(class₀(v), class₁(v), …)` lexicographically, where class ids at every
-/// level are canonically numbered by sorted refinement keys. Because class
-/// ids are derived from views alone, every node of an anonymous network
-/// computes the **same** order — the property all of Section 2.2's
-/// machinery needs. (Any fixed view-derived total order satisfies the
-/// paper's proofs; the literal tree order and this one agree on what
-/// matters: both are invariant and total.)
+/// isomorphism-invariant order given by the stable refinement classes:
+/// on a discrete partition the class ids are a permutation of `0..n`, and
+/// node `u` precedes node `v` iff its id is smaller. That is the
+/// lexicographic order of the per-round histories
+/// `(class₀(u), class₁(u), …)`: round-`(k+1)` ids are dense ranks of keys
+/// whose first component is the round-`k` id, so the first round at which
+/// two histories differ already orders the stable ids the same way.
+/// Because class ids are derived from views alone, every node of an
+/// anonymous network computes the **same** order — the property all of
+/// Section 2.2's machinery needs. (Any fixed view-derived total order
+/// satisfies the paper's proofs; the literal tree order and this one agree
+/// on what matters: both are invariant and total.)
 ///
 /// # Errors
 ///
@@ -31,9 +34,11 @@ pub fn canonical_order<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<
     if !r.is_discrete() {
         return Err(ViewError::NotDiscrete { nodes: g.node_count(), classes: r.class_count() });
     }
-    let mut nodes: Vec<NodeId> = g.graph().nodes().collect();
-    nodes.sort_by_key(|&v| r.history_key(v));
-    Ok(nodes)
+    let mut order = vec![NodeId::new(0); g.node_count()];
+    for (v, &c) in r.classes().iter().enumerate() {
+        order[c as usize] = NodeId::new(v);
+    }
+    Ok(order)
 }
 
 /// The canonical bitstring encoding `s(G)` of a prime labeled graph:
@@ -72,7 +77,10 @@ pub fn update_graph_cmp<L: Label>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anonet_graph::generators;
+    use crate::refinement::round_history;
+    use anonet_graph::{coloring, generators, Graph};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn colored_cycle(n: usize) -> LabeledGraph<u32> {
         let labels: Vec<u32> = (0..n).map(|i| (i % 3) as u32 + 1).collect();
@@ -145,5 +153,53 @@ mod tests {
             update_graph_cmp(&small, &small, ViewMode::PortAware).unwrap(),
             std::cmp::Ordering::Equal
         );
+    }
+
+    /// The order the per-round class histories give: sort nodes by
+    /// `(class₀(v), class₁(v), …)` lexicographically.
+    fn history_order<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Vec<NodeId> {
+        let history = round_history(g, mode);
+        let mut nodes: Vec<NodeId> = g.graph().nodes().collect();
+        nodes.sort_by_key(|v| history.iter().map(|round| round[v.index()]).collect::<Vec<u32>>());
+        nodes
+    }
+
+    #[test]
+    fn stable_id_order_equals_history_order() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0D3E);
+        let mut discrete = 0usize;
+        for n in 3..40usize {
+            let mut graphs: Vec<Graph> = vec![
+                generators::cycle(n).unwrap(),
+                generators::path(n).unwrap(),
+                generators::random_tree(n, &mut rng).unwrap(),
+            ];
+            for _ in 0..3 {
+                graphs.push(generators::gnp_connected(n, 0.2, &mut rng).unwrap());
+            }
+            for graph in graphs {
+                // Greedy 2-hop colorings (mostly symmetric, some prime)
+                // and ID-like labels (always prime).
+                let colored = coloring::greedy_two_hop_coloring(&graph);
+                let ids = graph.with_labels((0..n as u32).rev().collect()).unwrap();
+                for mode in [ViewMode::Portless, ViewMode::PortAware] {
+                    for labeled in [&colored, &ids] {
+                        match canonical_order(labeled, mode) {
+                            Ok(order) => {
+                                discrete += 1;
+                                assert_eq!(order, history_order(labeled, mode), "n={n} {mode:?}");
+                            }
+                            Err(ViewError::NotDiscrete { .. }) => {
+                                assert!(!Refinement::compute(labeled, mode).is_discrete());
+                            }
+                            Err(e) => panic!("unexpected error {e}"),
+                        }
+                    }
+                }
+            }
+        }
+        // Every ID-labeled instance is discrete, so the check is never
+        // vacuous.
+        assert!(discrete >= 37 * 6 * 2, "only {discrete} discrete instances");
     }
 }

@@ -4,7 +4,7 @@
 use anonet_graph::{Graph, Label, LabeledGraph, NodeId};
 
 use crate::error::ViewError;
-use crate::refinement::{BoundedRefinement, ViewMode};
+use crate::refinement::{Refinement, ViewMode};
 use crate::Result;
 
 /// The finite view graph `G_*` of a labeled graph `G`, together with the
@@ -38,6 +38,7 @@ pub struct ViewQuotient<L> {
     class_of: Vec<NodeId>,
     representatives: Vec<NodeId>,
     mode: ViewMode,
+    depth: usize,
 }
 
 impl<L: Label> ViewQuotient<L> {
@@ -94,6 +95,13 @@ impl<L: Label> ViewQuotient<L> {
     pub fn mode(&self) -> ViewMode {
         self.mode
     }
+
+    /// Refinement rounds until the view partition of the original graph
+    /// stabilized — [`Refinement::stabilization_depth`] of the refinement
+    /// this quotient was built from.
+    pub fn stabilization_depth(&self) -> usize {
+        self.depth
+    }
 }
 
 /// Computes the finite view graph of `g` under the given [`ViewMode`].
@@ -106,9 +114,7 @@ impl<L: Label> ViewQuotient<L> {
 ///   view-equivalent neighbors (impossible when it is a 2-hop coloring —
 ///   this is the paper's Lemma 2).
 pub fn quotient<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<ViewQuotient<L>> {
-    // Only the stable partition is consumed here, so the bounded engine
-    // (two retained rounds, not O(n·rounds)) suffices.
-    let refinement = BoundedRefinement::compute(g, mode);
+    let refinement = Refinement::compute(g, mode);
     let classes = refinement.classes();
     let graph = g.graph();
     let k = refinement.class_count();
@@ -169,7 +175,13 @@ pub fn quotient<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<ViewQuo
 
     let class_of: Vec<NodeId> = classes.iter().map(|&c| NodeId::new(c as usize)).collect();
 
-    Ok(ViewQuotient { graph: qlabeled, class_of, representatives, mode })
+    Ok(ViewQuotient {
+        graph: qlabeled,
+        class_of,
+        representatives,
+        mode,
+        depth: refinement.stabilization_depth(),
+    })
 }
 
 #[cfg(test)]
@@ -196,6 +208,24 @@ mod tests {
             assert_eq!(q.multiplicity(), Some(n / 3));
             assert!(iso::are_isomorphic(q.graph(), &c3));
         }
+    }
+
+    #[test]
+    fn quotient_keeps_the_refinement_depth() {
+        // Round 1 separates the two label-1 ends of this path by their
+        // neighbors' labels, so the depth is nonzero.
+        for g in [
+            colored_cycle(12),
+            generators::path(4).unwrap().with_labels(vec![1u32, 2, 3, 1]).unwrap(),
+        ] {
+            for mode in [ViewMode::Portless, ViewMode::PortAware] {
+                let q = quotient(&g, mode).unwrap();
+                let r = Refinement::compute(&g, mode);
+                assert_eq!(q.stabilization_depth(), r.stabilization_depth(), "{mode:?}");
+            }
+        }
+        let path = generators::path(4).unwrap().with_labels(vec![1u32, 2, 3, 1]).unwrap();
+        assert!(quotient(&path, ViewMode::Portless).unwrap().stabilization_depth() > 0);
     }
 
     #[test]
