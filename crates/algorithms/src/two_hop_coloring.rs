@@ -145,7 +145,7 @@ impl ObliviousAlgorithm for TwoHopColoring {
         &self,
         mut state: TwoHopState,
         _round: usize,
-        received: &[Message],
+        received: &[&Message],
         bit: bool,
         actions: &mut Actions<BitString>,
     ) -> TwoHopState {

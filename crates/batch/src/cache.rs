@@ -33,10 +33,17 @@
 //! (outside the lock), disk hits are promoted into memory, and fresh
 //! inserts write through. Backend failures never fail a lookup — they
 //! count as [`CacheStats::disk_errors`] and the cache runs memory-only.
+//!
+//! Assignment lookups are **single-flight** ([`DerandCache::lookup_or_claim`]):
+//! the first lookup of a `(problem, s(G_*))` key that finds nothing in
+//! memory claims the key, and later lookups of it wait until the claim is
+//! published or dropped. So every distinct key is looked up on disk and
+//! searched once, and the hit/miss counters come out exactly as in a
+//! sequential run, at any thread count and in any schedule.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use anonet_graph::BitString;
 use anonet_graph::{Label, LabeledGraph};
@@ -108,6 +115,11 @@ struct AssignmentEntry {
 struct Tables {
     quotients: HashMap<Vec<u8>, QuotientEntry>,
     assignments: HashMap<(String, Vec<u8>), AssignmentEntry>,
+    /// Assignment keys claimed by a lookup that is still searching.
+    in_flight: HashSet<(String, Vec<u8>)>,
+    /// Lookups that waited for a claimed key (schedule-dependent, so not
+    /// part of [`CacheStats`]).
+    coalesced: u64,
     quotient_hits: u64,
     quotient_misses: u64,
     assignment_hits: u64,
@@ -117,6 +129,42 @@ struct Tables {
     disk_misses: u64,
     disk_errors: u64,
     clock: u64,
+}
+
+/// The answer of [`DerandCache::lookup_or_claim`].
+#[derive(Debug)]
+pub enum Lookup<'a> {
+    /// The assignment was cached: in memory, on disk, or published by the
+    /// search this lookup waited for.
+    Hit(CachedAssignment),
+    /// Nothing is cached, and the caller now holds the key's claim.
+    Miss(Claim<'a>),
+}
+
+/// The right and duty to search one `(problem, s(G_*))` key: concurrent
+/// lookups of the key wait until the claim is published or dropped.
+/// Dropping it unpublished (the search failed or panicked) releases the
+/// key, so waiters never hang; the next of them claims it in turn.
+#[derive(Debug)]
+pub struct Claim<'a> {
+    cache: &'a DerandCache,
+    key: (String, Vec<u8>),
+}
+
+impl Claim<'_> {
+    /// Stores the found assignment (as
+    /// [`DerandCache::insert_assignment`]) and wakes the waiters, which
+    /// then hit it.
+    pub fn publish(self, cached: CachedAssignment) {
+        self.cache.insert_assignment(&self.key.0, &self.key.1, cached);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.cache.lock().in_flight.remove(&self.key);
+        self.cache.released.notify_all();
+    }
 }
 
 /// A point-in-time snapshot of cache accounting.
@@ -289,6 +337,8 @@ impl std::error::Error for CounterRegression {}
 #[derive(Debug, Default)]
 pub struct DerandCache {
     tables: Mutex<Tables>,
+    /// Signalled whenever a claimed key is released.
+    released: Condvar,
     max_entries: Option<usize>,
     backend: Option<Arc<dyn CacheBackend>>,
 }
@@ -319,7 +369,7 @@ impl DerandCache {
         self.backend.is_some()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Tables> {
+    fn lock(&self) -> MutexGuard<'_, Tables> {
         // A job that panicked mid-batch must not poison the whole cache;
         // all updates are atomic under the lock, so the state is sound.
         self.tables.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -364,37 +414,56 @@ impl DerandCache {
     }
 
     /// Looks up the canonical simulation for `problem` on the quotient
-    /// addressed by `key`. Clones the entry out so the lock is held only
+    /// addressed by `key`, without claiming it: a miss is only reported.
+    /// Counts exactly like [`DerandCache::lookup_or_claim`].
+    pub fn lookup_assignment(&self, problem: &str, key: &[u8]) -> Option<CachedAssignment> {
+        match self.lookup_or_claim(problem, key) {
+            Lookup::Hit(cached) => Some(cached),
+            Lookup::Miss(_) => None,
+        }
+    }
+
+    /// Looks up the canonical simulation for `problem` on the quotient
+    /// addressed by `key`; on a miss the caller becomes the one searcher
+    /// for the key. Entries are cloned out so the lock is held only
     /// briefly.
     ///
-    /// Memory answers first; with a backend attached, a memory miss falls
-    /// through to the disk tier (outside the lock), and a disk hit is
-    /// promoted into memory so it pays the read once per process. A
-    /// backend error counts as a miss plus a
+    /// Memory answers first. If another lookup has claimed the key, this
+    /// one waits for it: a published result is a memory hit, a dropped
+    /// claim hands the key on. With a backend attached, the claimant's
+    /// memory miss falls through to the disk tier (outside the lock), and
+    /// a disk hit is promoted into memory so it pays the read once per
+    /// process. A backend error counts as a miss plus a
     /// [`disk_errors`](CacheStats::disk_errors) tick — persistence never
     /// fails a lookup.
-    pub fn lookup_assignment(&self, problem: &str, key: &[u8]) -> Option<CachedAssignment> {
-        {
-            let mut t = self.lock();
+    pub fn lookup_or_claim(&self, problem: &str, key: &[u8]) -> Lookup<'_> {
+        let k = (problem.to_string(), key.to_vec());
+        let mut t = self.lock();
+        let mut waited = false;
+        loop {
             t.clock += 1;
             let now = t.clock;
-            // Avoid allocating the owned key pair on the miss path is not
-            // worth the contortions; lookups are rare relative to
-            // simulations.
-            let k = (problem.to_string(), key.to_vec());
             if let Some(entry) = t.assignments.get_mut(&k) {
                 entry.hits += 1;
                 entry.last_use = now;
                 let cached = entry.cached.clone();
                 t.assignment_hits += 1;
-                return Some(cached);
+                t.coalesced += u64::from(waited);
+                return Lookup::Hit(cached);
             }
-            if self.backend.is_none() {
-                t.assignment_misses += 1;
-                return None;
+            if !t.in_flight.contains(&k) {
+                break;
             }
+            waited = true;
+            t = self.released.wait(t).unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-        let backend = self.backend.as_ref()?;
+        t.in_flight.insert(k.clone());
+        let Some(backend) = &self.backend else {
+            t.assignment_misses += 1;
+            return Lookup::Miss(Claim { cache: self, key: k });
+        };
+        drop(t);
+        let claim = Claim { cache: self, key: k };
         match backend.load_assignment(problem, key) {
             Ok(Some(cached)) => {
                 let mut t = self.lock();
@@ -403,26 +472,38 @@ impl DerandCache {
                 t.assignment_hits += 1;
                 t.disk_hits += 1;
                 let bytes = assignment_bytes(problem, key, &cached);
-                // or_insert: a concurrent promoter/inserter may have won.
-                t.assignments.entry((problem.to_string(), key.to_vec())).or_insert(
-                    AssignmentEntry { cached: cached.clone(), bytes, hits: 0, last_use: now },
-                );
+                // or_insert: a plain insert_assignment may have won.
+                t.assignments.entry(claim.key.clone()).or_insert(AssignmentEntry {
+                    cached: cached.clone(),
+                    bytes,
+                    hits: 0,
+                    last_use: now,
+                });
                 self.enforce_capacity(&mut t);
-                Some(cached)
+                drop(t);
+                drop(claim);
+                Lookup::Hit(cached)
             }
             Ok(None) => {
                 let mut t = self.lock();
                 t.assignment_misses += 1;
                 t.disk_misses += 1;
-                None
+                Lookup::Miss(claim)
             }
             Err(_) => {
                 let mut t = self.lock();
                 t.assignment_misses += 1;
                 t.disk_errors += 1;
-                None
+                Lookup::Miss(claim)
             }
         }
+    }
+
+    /// Lookups that found their key claimed by a concurrent search and
+    /// waited for it. Depends on the thread schedule, unlike every
+    /// [`CacheStats`] counter.
+    pub fn coalesced(&self) -> u64 {
+        self.lock().coalesced
     }
 
     /// Stores the canonical simulation for `problem` on the quotient
@@ -739,6 +820,102 @@ mod tests {
         let got = cache.lookup_assignment("mis", &key).unwrap();
         assert_eq!(got.tapes.len(), 3);
         assert_eq!(got.attempts, 3);
+    }
+
+    fn cached(rounds: usize) -> CachedAssignment {
+        CachedAssignment { tapes: vec![tape("10")], attempts: 1, simulation_rounds: rounds }
+    }
+
+    /// Eight workers look up one key at once; whoever claims it "searches"
+    /// (sleeps) and publishes. Counted exactly as eight sequential jobs.
+    fn single_flight_race(cache: &DerandCache) -> usize {
+        let searches = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| match cache.lookup_or_claim("mis", b"k") {
+                    Lookup::Hit(hit) => assert_eq!(hit, cached(1)),
+                    Lookup::Miss(claim) => {
+                        searches.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        claim.publish(cached(1));
+                    }
+                });
+            }
+        });
+        searches.into_inner()
+    }
+
+    #[test]
+    fn single_flight_searches_each_key_once() {
+        let cache = DerandCache::new();
+        assert_eq!(single_flight_race(&cache), 1);
+        let s = cache.stats();
+        assert_eq!((s.assignment_misses, s.assignment_hits), (1, 7));
+        assert!(cache.coalesced() <= 7);
+    }
+
+    #[test]
+    fn dropped_claim_hands_the_key_on() {
+        let cache = DerandCache::new();
+        let Lookup::Miss(claim) = cache.lookup_or_claim("mis", b"k") else {
+            panic!("an empty cache must miss")
+        };
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| match cache.lookup_or_claim("mis", b"k") {
+                Lookup::Miss(claim) => claim.publish(cached(2)),
+                Lookup::Hit(_) => panic!("nothing was published"),
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(claim); // the first search failed
+            waiter.join().unwrap();
+        });
+        assert_eq!(cache.lookup_assignment("mis", b"k"), Some(cached(2)));
+        let s = cache.stats();
+        assert_eq!((s.assignment_misses, s.assignment_hits), (2, 1));
+    }
+
+    /// A disk tier that starts empty and counts its reads.
+    #[derive(Debug, Default)]
+    struct CountingBackend {
+        loads: Mutex<u64>,
+    }
+
+    impl CacheBackend for CountingBackend {
+        fn load_assignment(
+            &self,
+            _: &str,
+            _: &[u8],
+        ) -> Result<Option<CachedAssignment>, StoreError> {
+            *self.loads.lock().unwrap() += 1;
+            Ok(None)
+        }
+        fn store_assignment(
+            &self,
+            _: &str,
+            _: &[u8],
+            _: &CachedAssignment,
+        ) -> Result<(), StoreError> {
+            Ok(())
+        }
+        fn record_quotient(&self, _: &[u8], _: usize, _: usize) -> Result<(), StoreError> {
+            Ok(())
+        }
+        fn warm(&self, _: usize) -> Result<Vec<WarmEntry>, StoreError> {
+            Ok(Vec::new())
+        }
+        fn flush(&self) -> Result<(), StoreError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn single_flight_covers_the_disk_miss_path() {
+        let backend = Arc::new(CountingBackend::default());
+        let cache = DerandCache::new().with_backend(Arc::clone(&backend) as Arc<dyn CacheBackend>);
+        assert_eq!(single_flight_race(&cache), 1);
+        assert_eq!(*backend.loads.lock().unwrap(), 1);
+        let s = cache.stats();
+        assert_eq!((s.assignment_misses, s.disk_misses, s.assignment_hits), (1, 1, 7));
     }
 
     #[test]

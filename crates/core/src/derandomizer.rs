@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use anonet_batch::{CachedAssignment, DerandCache};
+use anonet_batch::{CachedAssignment, Claim, DerandCache, Lookup};
 use anonet_graph::{BitString, Label, LabeledGraph};
 use anonet_obs::{names, noop, Recorder, SharedRecorder, Span};
 use anonet_runtime::{run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, TapeSource};
@@ -180,15 +180,17 @@ where
         }
 
         // Step 1½: the content address s(G_*) — free, the canonical order
-        // is already in hand. A hit turns the search into one replay.
+        // is already in hand. A hit turns the search into one replay; a
+        // miss claims the key, so concurrent runs on the same quotient
+        // wait for this search instead of repeating it.
         let t1 = Instant::now();
-        let mut address: Option<(String, Vec<u8>)> = None;
+        let mut claim: Option<Claim<'_>> = None;
         if let Some(cache) = &self.cache {
             let key = anonet_graph::canonical::encode_with_order(q.graph(), &order);
             cache.record_quotient(&key, q.graph().node_count(), q.multiplicity().unwrap_or(0));
-            let problem = self.problem_id();
-            if let Some(hit) = cache.lookup_assignment(&problem, &key) {
-                if hit.tapes.len() == order.len() {
+            match cache.lookup_or_claim(&self.problem_id(), &key) {
+                Lookup::Miss(c) => claim = Some(c),
+                Lookup::Hit(hit) if hit.tapes.len() == order.len() => {
                     // Cached tapes are by canonical position; reindex them
                     // to this presentation's node ids before replaying.
                     let mut tapes = vec![BitString::new(); order.len()];
@@ -230,8 +232,8 @@ where
                     // collision is impossible, but an incompatible config
                     // is not) — fall through to the real search.
                 }
+                Lookup::Hit(_) => {}
             }
-            address = Some((problem, key));
         }
 
         // Step 2: canonical successful simulation of A_R on J = (V_*, E_*, i_*).
@@ -248,21 +250,17 @@ where
 
         // Publish the found assignment under its content address, tapes
         // keyed by canonical position so any isomorphic presentation can
-        // replay them.
-        if let (Some(cache), Some((problem, key))) = (&self.cache, address) {
+        // replay them. (A failed search drops the claim unpublished.)
+        if let Some(claim) = claim {
             let tapes = order
                 .iter()
                 .map(|&v| sim.assignment.tape(v).cloned().unwrap_or_default())
                 .collect();
-            cache.insert_assignment(
-                &problem,
-                &key,
-                CachedAssignment {
-                    tapes,
-                    attempts: sim.attempts,
-                    simulation_rounds: sim.execution.rounds(),
-                },
-            );
+            claim.publish(CachedAssignment {
+                tapes,
+                attempts: sim.attempts,
+                simulation_rounds: sim.execution.rounds(),
+            });
         }
 
         // Step 3: lift outputs along the projection.

@@ -151,17 +151,6 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hashes a quotient's canonical encoding into the base key, so the seed
-/// family itself is a function of the (view-derived) quotient.
-pub fn encoding_key(encoding: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64; // FNV-1a
-    for &b in encoding {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn seeded<A>(
     alg: &A,
     j: &LabeledGraph<A::Input>,
@@ -173,7 +162,9 @@ where
     A: Algorithm,
     A::Input: Label,
 {
-    let base = encoding_key(&canonical_input_encoding(j, order));
+    // The seed family is a function of the quotient: FNV-1a of its
+    // canonical encoding s(J), hashed sparsely (no n² matrix).
+    let base = anonet_graph::canonical::encoding_fnv1a(j, order);
     for attempt in 0..max_attempts {
         let key = splitmix(base ^ (attempt as u64).wrapping_mul(0xD1B54A32D192ED03));
         let mut src = KeyedSource::new(key, order);
@@ -200,12 +191,6 @@ where
         }
     }
     Err(CoreError::SeedsExhausted { attempts: max_attempts })
-}
-
-/// Encodes the quotient instance under the canonical order (the `s(·)` of
-/// the paper, applied to the input-labeled quotient).
-fn canonical_input_encoding<L: Label>(j: &LabeledGraph<L>, order: &[NodeId]) -> Vec<u8> {
-    anonet_graph::canonical::encode_with_order(j, order)
 }
 
 #[cfg(test)]

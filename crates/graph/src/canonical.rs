@@ -6,6 +6,9 @@
 //!
 //! * [`encode_with_order`] — the `s(·)` encoding given a node order (the
 //!   views machinery in `anonet-views` supplies the canonical view order);
+//! * [`encoding_fnv1a`] — the FNV-1a hash of that encoding, computed from
+//!   the labels and edges alone in `O((n + m) log n)` time and `O(n)`
+//!   memory, without the `Θ(n²)` adjacency triangle;
 //! * [`min_encoding`] — a canonical (order-independent) encoding obtained
 //!   by minimizing over permutations, feasible for the tiny graphs handled
 //!   by the faithful `A_*` candidate enumeration.
@@ -26,12 +29,7 @@ use crate::node::NodeId;
 /// Panics if `order` is not a permutation of the graph's nodes.
 pub fn encode_with_order<L: Label>(g: &LabeledGraph<L>, order: &[NodeId]) -> Vec<u8> {
     let n = g.node_count();
-    assert_eq!(order.len(), n, "order must list every node exactly once");
-    let mut seen = vec![false; n];
-    for &v in order {
-        assert!(!seen[v.index()], "order must list every node exactly once");
-        seen[v.index()] = true;
-    }
+    positions(n, order);
 
     let mut out = Vec::new();
     (n as u64).encode(&mut out);
@@ -57,6 +55,114 @@ pub fn encode_with_order<L: Label>(g: &LabeledGraph<L>, order: &[NodeId]) -> Vec
         out.push(byte);
     }
     out
+}
+
+/// FNV-1a (64-bit) of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// `h` after FNV-1a absorbs `k` zero bytes: each one is `h *= P`, so the
+/// run is one multiplication by `P^k mod 2^64`.
+fn fnv1a_zeros(h: u64, mut k: u64) -> u64 {
+    let mut pow = 1u64;
+    let mut base = FNV_PRIME;
+    while k > 0 {
+        if k & 1 == 1 {
+            pow = pow.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        k >>= 1;
+    }
+    h.wrapping_mul(pow)
+}
+
+/// Exactly `fnv1a(&encode_with_order(g, order))`, without building the
+/// encoding.
+///
+/// The `n` + labels prefix is hashed as written; of the adjacency
+/// triangle only the non-zero bytes are visited, walking rows in `order`
+/// with each row's later neighbours sorted by position. Every run of zero
+/// bytes between them is absorbed in one step ([`fnv1a`] of a zero byte
+/// is a multiplication by the prime). Cost is `O((n + m) log n)` time and
+/// `O(n)` memory, so it keys million-node quotients whose dense encoding
+/// would not fit in memory.
+///
+/// # Panics
+///
+/// Panics if `order` is not a permutation of the graph's nodes.
+pub fn encoding_fnv1a<L: Label>(g: &LabeledGraph<L>, order: &[NodeId]) -> u64 {
+    let n = g.node_count();
+    let pos = positions(n, order);
+
+    let mut buf = Vec::new();
+    (n as u64).encode(&mut buf);
+    let mut h = fnv1a_extend(FNV_OFFSET, &buf);
+    for &v in order {
+        buf.clear();
+        g.label(v).encode(&mut buf);
+        h = fnv1a_extend(h, &buf);
+    }
+
+    // Bit (i, j), i < j, of the row-major upper triangle sits at index
+    // i·(n−1) − i(i−1)/2 + (j − i − 1), packed MSB-first.
+    let n64 = n as u64;
+    let total_bytes = (n64 * n64.saturating_sub(1) / 2).div_ceil(8);
+    let mut next_byte = 0u64; // first triangle byte not yet hashed
+    let mut pending: Option<(u64, u8)> = None; // byte index, bits so far
+    let mut row: Vec<u64> = Vec::new();
+    for (i, &v) in order.iter().enumerate() {
+        let i = i as u64;
+        row.clear();
+        row.extend(g.graph().neighbors(v).iter().map(|u| pos[u.index()]).filter(|&j| j > i));
+        row.sort_unstable();
+        let row_start = i * (n64 - 1) - i * i.saturating_sub(1) / 2;
+        for &j in &row {
+            let bit = row_start + (j - i - 1);
+            let (byte, mask) = (bit / 8, 0x80u8 >> (bit % 8));
+            match &mut pending {
+                Some((b, bits)) if *b == byte => *bits |= mask,
+                _ => {
+                    if let Some((b, bits)) = pending.replace((byte, mask)) {
+                        h = absorb_byte(h, &mut next_byte, b, bits);
+                    }
+                }
+            }
+        }
+    }
+    if let Some((b, bits)) = pending {
+        h = absorb_byte(h, &mut next_byte, b, bits);
+    }
+    fnv1a_zeros(h, total_bytes - next_byte)
+}
+
+/// Hashes the zero bytes before triangle byte `byte`, then the byte itself.
+fn absorb_byte(h: u64, next_byte: &mut u64, byte: u64, bits: u8) -> u64 {
+    let h = fnv1a_zeros(h, byte - *next_byte);
+    *next_byte = byte + 1;
+    fnv1a_extend(h, &[bits])
+}
+
+/// Each node's index in `order`, checking that `order` is a permutation.
+fn positions(n: usize, order: &[NodeId]) -> Vec<u64> {
+    assert_eq!(order.len(), n, "order must list every node exactly once");
+    let mut pos = vec![u64::MAX; n];
+    for (i, &v) in order.iter().enumerate() {
+        assert!(pos[v.index()] == u64::MAX, "order must list every node exactly once");
+        pos[v.index()] = i as u64;
+    }
+    pos
 }
 
 /// The minimum of [`encode_with_order`] over **all** node permutations —
@@ -100,7 +206,7 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::iso::are_isomorphic;
-    use crate::Graph;
+    use crate::{BitString, Graph};
 
     #[test]
     fn encoding_depends_on_order() {
@@ -140,6 +246,72 @@ mod tests {
         let l1 = generators::cycle(4).unwrap().with_labels(vec![1u8, 2, 1, 2]).unwrap();
         let l2 = generators::cycle(4).unwrap().with_labels(vec![1u8, 1, 2, 2]).unwrap();
         assert_ne!(min_encoding(&l1), min_encoding(&l2));
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a_zeros(fnv1a(b"ab"), 13), fnv1a(&[b"ab".as_slice(), &[0u8; 13]].concat()));
+    }
+
+    /// The sparse key against the dense encoding it stands for.
+    fn assert_sparse_key_matches<L: Label>(g: &LabeledGraph<L>, order: &[NodeId]) {
+        assert_eq!(
+            encoding_fnv1a(g, order),
+            fnv1a(&encode_with_order(g, order)),
+            "n = {}, m = {}",
+            g.node_count(),
+            g.graph().edge_count()
+        );
+    }
+
+    #[test]
+    fn sparse_key_equals_fnv1a_of_the_dense_encoding() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5eed);
+        for n in 1..=64usize {
+            let mut graphs = vec![
+                Graph::from_edges(n, &[]).unwrap(),
+                generators::path(n).unwrap(),
+                generators::random_tree(n, &mut rng).unwrap(),
+                generators::gnp_connected(n, 0.25, &mut rng).unwrap(),
+            ];
+            if n >= 3 {
+                graphs.push(generators::cycle(n).unwrap());
+            }
+            for g in graphs {
+                let mut order: Vec<NodeId> = g.nodes().collect();
+                for shuffled in [false, true] {
+                    if shuffled {
+                        order.shuffle(&mut rng);
+                    }
+                    let words: Vec<u32> = (0..n).map(|_| rng.gen_range(0..5u32)).collect();
+                    let bits: Vec<BitString> =
+                        (0..n).map(|i| BitString::from_value(i as u64 % 7, i % 5)).collect();
+                    let pairs: Vec<(u32, BitString)> =
+                        words.iter().copied().zip(bits.iter().cloned()).collect();
+                    assert_sparse_key_matches(&g.with_uniform_label(()), &order);
+                    assert_sparse_key_matches(&g.with_labels(words).unwrap(), &order);
+                    assert_sparse_key_matches(&g.with_labels(bits).unwrap(), &order);
+                    assert_sparse_key_matches(&g.with_labels(pairs).unwrap(), &order);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_key_handles_a_million_node_cycle() {
+        // The dense encoding of this graph would be ~62 GB.
+        let n = 1_000_000;
+        let cycle = generators::cycle(n).unwrap().with_uniform_label(0u8);
+        let path = generators::path(n).unwrap().with_uniform_label(0u8);
+        let order: Vec<NodeId> = cycle.graph().nodes().collect();
+        let key = encoding_fnv1a(&cycle, &order);
+        assert_eq!(key, encoding_fnv1a(&cycle, &order));
+        assert_ne!(key, encoding_fnv1a(&path, &order));
     }
 
     #[test]

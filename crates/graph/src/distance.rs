@@ -36,13 +36,29 @@ pub fn distance(g: &Graph, u: NodeId, v: NodeId) -> Option<usize> {
 /// The paper uses `H^i(v)` in the proof of Lemma 9 to track how far
 /// prescribed random bits must agree for the first `t` rounds of an
 /// execution to be determined.
+///
+/// The search stops at depth `r`, so it costs `O(|ball| · Δ)`, not a BFS
+/// over the whole graph.
 pub fn ball(g: &Graph, v: NodeId, r: usize) -> Vec<NodeId> {
-    bfs_distances(g, v)
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_some_and(|d| d <= r))
-        .map(|(i, _)| NodeId::new(i))
-        .collect()
+    let mut ball = vec![v];
+    let mut seen = std::collections::HashSet::from([v]);
+    let mut layer = 0..1;
+    for _ in 0..r {
+        if layer.is_empty() {
+            break;
+        }
+        let next = ball.len();
+        for i in layer {
+            for &u in g.neighbors(ball[i]) {
+                if seen.insert(u) {
+                    ball.push(u);
+                }
+            }
+        }
+        layer = next..ball.len();
+    }
+    ball.sort_unstable();
+    ball
 }
 
 /// Eccentricity of `v` (greatest distance to any node), or `None` if the

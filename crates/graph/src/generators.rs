@@ -371,17 +371,7 @@ pub fn random_regular<R: Rng + ?Sized>(
         let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
         stubs.shuffle(rng);
         let mut builder = GraphBuilder::new(n);
-        let mut ok = true;
-        for pair in stubs.chunks(2) {
-            match builder.clone().edge(pair[0], pair[1]) {
-                Ok(b) => builder = b,
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
+        if stubs.chunks(2).any(|pair| builder.add_edge(pair[0], pair[1]).is_err()) {
             continue;
         }
         if let Ok(g) = builder.build() {

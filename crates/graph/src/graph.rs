@@ -359,6 +359,17 @@ impl GraphBuilder {
     /// Returns an error if an endpoint is out of range, `u == v`, or the
     /// edge already exists.
     pub fn edge(mut self, u: usize, v: usize) -> Result<Self> {
+        self.add_edge(u, v)?;
+        Ok(self)
+    }
+
+    /// Adds the undirected edge `(u, v)` in place; on error the builder is
+    /// unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As [`GraphBuilder::edge`].
+    pub fn add_edge(&mut self, u: usize, v: usize) -> Result<()> {
         let n = self.adj.len();
         if u >= n {
             return Err(GraphError::NodeOutOfRange { node: u, n });
@@ -374,7 +385,7 @@ impl GraphBuilder {
         }
         self.adj[u].push(NodeId::new(v));
         self.adj[v].push(NodeId::new(u));
-        Ok(self)
+        Ok(())
     }
 
     /// Finishes building, requiring a connected non-empty graph.

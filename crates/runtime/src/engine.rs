@@ -1,9 +1,9 @@
 //! The synchronous execution engine.
 
-use anonet_graph::{Label, LabeledGraph, NodeId, Port};
+use anonet_graph::{Graph, Label, LabeledGraph, NodeId, Port};
 
 use crate::adversary::{FairScheduler, RoundAdversary};
-use crate::algorithm::{Actions, Algorithm, Inbox};
+use crate::algorithm::{Actions, Algorithm, Inbox, Outbox};
 use crate::error::RuntimeError;
 use crate::randomness::RandomSource;
 use crate::Result;
@@ -223,14 +223,17 @@ where
     }
     let n = g.node_count();
 
-    let mut states: Vec<A::State> =
-        g.nodes().map(|v| alg.init(net.label(v), g.degree(v))).collect();
+    // States live in `Option` slots so `step` can take each by value; a
+    // slot is empty only while its node is stepping.
+    let mut states: Vec<Option<A::State>> =
+        g.nodes().map(|v| Some(alg.init(net.label(v), g.degree(v)))).collect();
     let mut outputs: Vec<Option<A::Output>> = vec![None; n];
     let mut output_rounds: Vec<Option<usize>> = vec![None; n];
     let mut halt_rounds: Vec<Option<usize>> = vec![None; n];
     let mut halted = vec![false; n];
+    let mut active = n;
     let mut history: Option<Vec<Vec<A::State>>> =
-        config.record_states.then(|| vec![states.clone()]);
+        if config.record_states { Some(vec![snapshot(&states, 0)?]) } else { None };
 
     let mut events: Option<Vec<crate::Event>> = config.record_events.then(Vec::new);
     let message_size = std::mem::size_of::<A::Message>();
@@ -241,8 +244,15 @@ where
     let mut bits_consumed = 0usize;
     let mut rounds = 0usize;
 
+    // Round buffers, allocated once: this round's bits, every node's
+    // outbox, and for every inbox slot the port it is read from.
+    let mut bits: Vec<bool> = vec![false; n];
+    let mut outboxes: Vec<Outbox<A::Message>> =
+        g.nodes().map(|v| Outbox::new(g.degree(v))).collect();
+    let (slot_start, back) = back_ports(g);
+
     let status = loop {
-        if halted.iter().all(|&h| h) {
+        if active == 0 {
             break Status::Completed;
         }
         let round = rounds + 1;
@@ -252,7 +262,6 @@ where
 
         // Draw this round's bits for active nodes first: if any tape is
         // exhausted, the prescribed simulation ends *before* this round.
-        let mut bits: Vec<bool> = vec![false; n];
         let mut exhausted = false;
         for v in g.nodes() {
             if halted[v.index()] {
@@ -270,25 +279,27 @@ where
             break Status::OutOfBits;
         }
 
-        active_per_round.push(halted.iter().filter(|&&h| !h).count());
+        active_per_round.push(active);
         let round_message_base = messages_sent;
 
-        // Compose and deliver messages, in the adversary's delivery order.
-        // Every node composes against the same pre-round state snapshot and
-        // each inbox slot is written by exactly one (sender, port) pair, so
-        // the order cannot change the delivered messages — the adversary
-        // only gets to prove that.
-        let mut inboxes: Vec<Vec<Option<A::Message>>> =
-            g.nodes().map(|v| vec![None; g.degree(v)]).collect();
+        // Compose messages, in the adversary's delivery order. Every node
+        // composes against the same pre-round state snapshot into its own
+        // outbox, and each inbox slot reads exactly one (sender, port)
+        // pair, so the order cannot change the delivered messages — the
+        // adversary only gets to prove that. A halted node's outbox stays
+        // empty: its neighbors hear silence.
         for v in checked_order(adversary.compose_order(n, round), n, round, "compose")? {
+            let outbox = &mut outboxes[v.index()];
+            outbox.clear();
             if halted[v.index()] {
                 continue;
             }
-            for p in 0..g.degree(v) {
+            let state =
+                states[v.index()].as_ref().ok_or(RuntimeError::InvalidState { node: v, round })?;
+            alg.outgoing(state, outbox);
+            for p in 0..outbox.degree() {
                 let port = Port::new(p);
-                if let Some(msg) = alg.compose(&states[v.index()], port) {
-                    let u = g.endpoint(v, port);
-                    let q = g.reverse_port(v, port);
+                if outbox.get(port).is_some() {
                     messages_sent += 1;
                     message_bytes += message_size;
                     if let Some(ev) = events.as_mut() {
@@ -299,7 +310,6 @@ where
                             bytes: message_size,
                         });
                     }
-                    inboxes[u.index()][q.index()] = Some(msg);
                 }
             }
         }
@@ -314,14 +324,17 @@ where
             if let Some(ev) = events.as_mut() {
                 ev.push(crate::Event::BitsDrawn { round, node: v, count: 1 });
             }
-            let inbox = Inbox::new(std::mem::take(&mut inboxes[v.index()]));
-            let mut actions: Actions<A::Output> = Actions::new(outputs[v.index()].clone());
-            let state = states[v.index()].clone();
-            states[v.index()] = alg.step(state, round, &inbox, bits[v.index()], &mut actions);
+            let slots = slot_start[v.index()]..slot_start[v.index() + 1];
+            let inbox = Inbox::delivered(g.neighbors(v), &back[slots], &outboxes);
+            let had_output = outputs[v.index()].is_some();
+            let mut actions: Actions<A::Output> = Actions::new(outputs[v.index()].take());
+            let state =
+                states[v.index()].take().ok_or(RuntimeError::InvalidState { node: v, round })?;
+            states[v.index()] = Some(alg.step(state, round, &inbox, bits[v.index()], &mut actions));
             if actions.output_written {
                 return Err(RuntimeError::OutputConflict { node: v, round });
             }
-            if outputs[v.index()].is_none() && actions.output.is_some() {
+            if !had_output && actions.output.is_some() {
                 output_rounds[v.index()] = Some(round);
                 if let Some(ev) = events.as_mut() {
                     ev.push(crate::Event::OutputSet { round, node: v });
@@ -330,6 +343,7 @@ where
             outputs[v.index()] = actions.output;
             if actions.halt {
                 halted[v.index()] = true;
+                active -= 1;
                 halt_rounds[v.index()] = Some(round);
                 if let Some(ev) = events.as_mut() {
                     ev.push(crate::Event::Halted { round, node: v });
@@ -340,18 +354,23 @@ where
         rounds = round;
         messages_per_round.push(messages_sent - round_message_base);
         if let Some(h) = history.as_mut() {
-            h.push(states.clone());
+            h.push(snapshot(&states, round)?);
         }
     };
 
     // The bit/compose loops may have started a round that ended early
     // (OutOfBits); trim the per-round profiles to completed rounds.
     active_per_round.truncate(rounds);
+    let final_states = states
+        .into_iter()
+        .enumerate()
+        .map(|(v, s)| s.ok_or(RuntimeError::InvalidState { node: NodeId::new(v), round: rounds }))
+        .collect::<Result<Vec<_>>>()?;
     Ok(Execution {
         outputs,
         output_rounds,
         halt_rounds,
-        final_states: states,
+        final_states,
         state_history: history,
         rounds,
         messages_sent,
@@ -362,6 +381,50 @@ where
         bits_consumed,
         status,
     })
+}
+
+/// A copy of every node's state, for the recorded history.
+fn snapshot<S: Clone>(states: &[Option<S>], round: usize) -> Result<Vec<S>> {
+    states
+        .iter()
+        .enumerate()
+        .map(|(v, s)| s.clone().ok_or(RuntimeError::InvalidState { node: NodeId::new(v), round }))
+        .collect()
+}
+
+/// For every inbox slot — node `u`, port `q`, flattened in node order with
+/// node `u`'s slots at `start[u]..start[u + 1]` — the port through which
+/// the neighbor behind `q` reaches `u`. `O(m log Δ)`.
+fn back_ports(g: &Graph) -> (Vec<usize>, Vec<Port>) {
+    let mut start = Vec::with_capacity(g.node_count() + 1);
+    start.push(0);
+    for v in g.nodes() {
+        start.push(start[v.index()] + g.degree(v));
+    }
+    // Half-edges into each node, bucketed by target: scanning senders in
+    // ascending order leaves every bucket sorted by sender.
+    let mut fill = start.clone();
+    let mut incoming = vec![Port::new(0); start[g.node_count()]];
+    for v in g.nodes() {
+        for (p, u) in g.neighbors(v).iter().enumerate() {
+            incoming[fill[u.index()]] = Port::new(p);
+            fill[u.index()] += 1;
+        }
+    }
+    // Matching each node's ports sorted by neighbor against its bucket
+    // pairs every port with the reverse port of its edge.
+    let mut back = vec![Port::new(0); incoming.len()];
+    let mut by_neighbor: Vec<usize> = Vec::new();
+    for u in g.nodes() {
+        let nbrs = g.neighbors(u);
+        by_neighbor.clear();
+        by_neighbor.extend(0..nbrs.len());
+        by_neighbor.sort_unstable_by_key(|&q| nbrs[q]);
+        for (k, &q) in by_neighbor.iter().enumerate() {
+            back[start[u.index()] + q] = incoming[start[u.index()] + k];
+        }
+    }
+    (start, back)
 }
 
 /// Validates an adversary-supplied order as a permutation of `0..n`.

@@ -30,6 +30,14 @@ pub enum RuntimeError {
         /// Human-readable description.
         reason: String,
     },
+    /// The engine found a node's state slot empty. A state is moved out
+    /// only while its node steps, so this means a step unwound mid-run.
+    InvalidState {
+        /// The node whose state was missing.
+        node: NodeId,
+        /// The round in which it was found missing.
+        round: usize,
+    },
     /// A bit assignment did not cover every node of the graph it was
     /// used with.
     AssignmentMismatch {
@@ -51,6 +59,9 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::InvalidSchedule { round, reason } => {
                 write!(f, "invalid adversary schedule in round {round}: {reason}")
+            }
+            RuntimeError::InvalidState { node, round } => {
+                write!(f, "node {node} has no state in round {round}: a step did not return")
             }
             RuntimeError::AssignmentMismatch { assignment_nodes, graph_nodes } => {
                 write!(

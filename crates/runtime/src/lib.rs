@@ -68,7 +68,7 @@ pub mod trace;
 pub use adversary::{
     FairScheduler, ReverseScheduler, RoundAdversary, ShuffledScheduler, SkewedScheduler,
 };
-pub use algorithm::{Actions, Algorithm, Inbox};
+pub use algorithm::{Actions, Algorithm, Inbox, Outbox};
 pub use assignment::BitAssignment;
 pub use engine::{run, run_with_adversary, ExecConfig, Execution, Status};
 pub use error::RuntimeError;

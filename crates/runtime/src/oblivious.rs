@@ -18,7 +18,7 @@ use std::fmt::Debug;
 
 use anonet_graph::Port;
 
-use crate::algorithm::{Actions, Algorithm, Inbox};
+use crate::algorithm::{Actions, Algorithm, Inbox, Outbox};
 
 /// An anonymous algorithm that cannot observe port numbers.
 ///
@@ -44,13 +44,14 @@ pub trait ObliviousAlgorithm {
     /// The message broadcast to **all** neighbors this round, if any.
     fn broadcast(&self, state: &Self::State) -> Option<Self::Message>;
 
-    /// State transition. `received` is sorted ascending and contains one
-    /// entry per neighbor that broadcast this round.
+    /// State transition. `received` is sorted ascending by value and
+    /// contains one entry per neighbor that broadcast this round, borrowed
+    /// from the sender: clone only what the new state keeps.
     fn step(
         &self,
         state: Self::State,
         round: usize,
-        received: &[Self::Message],
+        received: &[&Self::Message],
         bit: bool,
         actions: &mut Actions<Self::Output>,
     ) -> Self::State;
@@ -58,6 +59,10 @@ pub trait ObliviousAlgorithm {
 
 /// Adapter running an [`ObliviousAlgorithm`] under the port-numbered
 /// runtime: broadcasts on every port, sorts the inbox before stepping.
+///
+/// Each node's broadcast is composed once per round and shared by all of
+/// its ports ([`Algorithm::outgoing`]); receivers step on references to
+/// it, so a round copies no message.
 ///
 /// # Example
 ///
@@ -77,9 +82,9 @@ pub trait ObliviousAlgorithm {
 ///
 ///     fn init(&self, input: &u32, _degree: usize) -> u32 { *input }
 ///     fn broadcast(&self, state: &u32) -> Option<u32> { Some(*state) }
-///     fn step(&self, state: u32, _round: usize, received: &[u32], _bit: bool,
+///     fn step(&self, state: u32, _round: usize, received: &[&u32], _bit: bool,
 ///             actions: &mut Actions<usize>) -> u32 {
-///         actions.output(received.iter().filter(|&&m| m == state).count());
+///         actions.output(received.iter().filter(|&&&m| m == state).count());
 ///         actions.halt();
 ///         state
 ///     }
@@ -121,15 +126,21 @@ impl<A: ObliviousAlgorithm> Algorithm for Oblivious<A> {
         self.0.broadcast(state)
     }
 
+    fn outgoing(&self, state: &Self::State, outbox: &mut Outbox<Self::Message>) {
+        if let Some(msg) = self.0.broadcast(state) {
+            outbox.broadcast(msg);
+        }
+    }
+
     fn step(
         &self,
         state: Self::State,
         round: usize,
-        inbox: &Inbox<Self::Message>,
+        inbox: &Inbox<'_, Self::Message>,
         bit: bool,
         actions: &mut Actions<Self::Output>,
     ) -> Self::State {
-        let mut received: Vec<Self::Message> = inbox.iter().map(|(_, m)| m.clone()).collect();
+        let mut received: Vec<&Self::Message> = inbox.iter().map(|(_, m)| m).collect();
         received.sort();
         self.0.step(state, round, &received, bit, actions)
     }
@@ -162,11 +173,11 @@ mod tests {
             &self,
             state: u32,
             _round: usize,
-            received: &[u32],
+            received: &[&u32],
             _bit: bool,
             actions: &mut Actions<Vec<u32>>,
         ) -> u32 {
-            actions.output(received.to_vec());
+            actions.output(received.iter().map(|&&m| m).collect());
             actions.halt();
             state
         }

@@ -12,7 +12,10 @@
 //!   cache, the Theorem-1 pipeline, and a seeded randomized run must all
 //!   tell the same story (via [`anonet_core::conformance`]); the
 //!   [`persist`] oracle extends the cache leg to disk: memory ≡ fresh
-//!   persistent ≡ crash-recovered persistent, byte for byte;
+//!   persistent ≡ crash-recovered persistent, byte for byte; the
+//!   [`schedule`] oracle pins the cache accounting: the same
+//!   [`CacheStats`](anonet_batch::CacheStats) at any thread count and
+//!   submission order;
 //! * **Adversarial execution** — every execution-backed oracle can run
 //!   under a hostile [`RoundAdversary`](anonet_runtime::RoundAdversary)
 //!   (reverse, skewed, keyed-shuffle sweeps), which must never change
@@ -55,6 +58,7 @@ pub mod gen;
 pub mod leader;
 pub mod oracles;
 pub mod persist;
+pub mod schedule;
 pub mod suite;
 pub mod testcase;
 

@@ -59,7 +59,7 @@ fn fail(detail: impl Into<String>) -> Failure {
 
 /// Byte-serializes every observable field of a run; equality below is
 /// byte-equality of results, not a lossy comparison.
-fn run_bytes<O: Label>(run: &DerandomizedRun<O>) -> Vec<u8> {
+pub(crate) fn run_bytes<O: Label>(run: &DerandomizedRun<O>) -> Vec<u8> {
     let mut out = Vec::new();
     for o in &run.outputs {
         o.encode(&mut out);
