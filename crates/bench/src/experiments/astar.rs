@@ -16,20 +16,22 @@
 //! `astar-perf` CI job asserts `byte_identical == true` and a nonzero
 //! pool hit count from it).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use anonet_algorithms::mis::RandomizedMis;
 use anonet_algorithms::problems::MisProblem;
-use anonet_core::astar::{run_astar_observed, run_astar_reference_observed, AStarConfig, AStarRun};
+use anonet_core::astar::{run_astar, run_astar_reference, AStarConfig, AStarRun};
 use anonet_obs::{names, MemoryRecorder};
 use anonet_runtime::Problem;
 
-use crate::experiments::{common::tick, ExpResult, Family};
+use crate::experiments::common::{accept, round3, tick};
+use crate::experiments::{ExpResult, Family};
 use crate::table::{secs, Json};
 use crate::Table;
 
 /// One tower instance, both engines measured.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AstarRow {
     /// Cycle length.
     pub n: usize,
@@ -98,6 +100,19 @@ impl AstarMeasurement {
         let total = (self.pool_hits() + self.pool_misses()) as f64;
         self.pool_hits() as f64 / total.max(f64::EPSILON)
     }
+
+    /// The E17 acceptance gates: the engines agree on every instance and
+    /// the pool memo hits at least once.
+    ///
+    /// # Errors
+    ///
+    /// Names every gate that failed.
+    pub fn accept(&self) -> ExpResult<()> {
+        accept(&[
+            ("fast A_* diverged from the reference", self.byte_identical()),
+            ("pool memo never hit", self.pool_hits() > 0),
+        ])
+    }
 }
 
 /// Field-by-field equality of two runs (outputs, phases, rounds, output
@@ -118,21 +133,21 @@ fn runs_equal<O: PartialEq>(a: &AStarRun<O>, b: &AStarRun<O>) -> bool {
 /// regressions on this workload.
 pub fn measure() -> ExpResult<AstarMeasurement> {
     let alg = RandomizedMis::new();
-    let cfg = AStarConfig::default();
     let mut rows = Vec::new();
 
     for (n, colored) in Family::figure2_tower() {
         let instance = colored.map_labels(|&c| ((), c));
 
-        let reference_rec = MemoryRecorder::new();
+        let reference_rec = Arc::new(MemoryRecorder::new());
+        let cfg = AStarConfig { recorder: reference_rec.clone(), ..Default::default() };
         let start = Instant::now();
-        let reference =
-            run_astar_reference_observed(&alg, &MisProblem, &instance, &cfg, &reference_rec)?;
+        let reference = run_astar_reference(&alg, &MisProblem, &instance, &cfg)?;
         let reference_total = start.elapsed();
 
-        let fast_rec = MemoryRecorder::new();
+        let fast_rec = Arc::new(MemoryRecorder::new());
+        let cfg = AStarConfig { recorder: fast_rec.clone(), ..Default::default() };
         let start = Instant::now();
-        let fast = run_astar_observed(&alg, &MisProblem, &instance, &cfg, &fast_rec)?;
+        let fast = run_astar(&alg, &MisProblem, &instance, &cfg)?;
         let fast_total = start.elapsed();
 
         let byte_identical = runs_equal(&fast, &reference);
@@ -160,10 +175,6 @@ pub fn measure() -> ExpResult<AstarMeasurement> {
     }
 
     Ok(AstarMeasurement { rows })
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
 }
 
 /// Builds `BENCH_astar.json` through the shared serializer.
@@ -201,7 +212,8 @@ pub fn to_json(m: &AstarMeasurement) -> String {
 ///
 /// # Errors
 ///
-/// Propagates measurement errors; artifact I/O failing is an error too.
+/// Propagates measurement errors; artifact I/O failing is an error too,
+/// and so is a failed acceptance gate ([`AstarMeasurement::accept`]).
 pub fn report() -> ExpResult<String> {
     let m = measure()?;
 
@@ -225,6 +237,7 @@ pub fn report() -> ExpResult<String> {
 
     let json = to_json(&m);
     std::fs::write("BENCH_astar.json", &json)?;
+    m.accept()?;
 
     Ok(format!(
         "{table}\n\
@@ -283,5 +296,15 @@ mod tests {
         assert_eq!(c12.get("n").unwrap().as_f64(), Some(12.0));
         assert!(c12.get("fast_secs").unwrap().as_f64().is_some());
         assert!(c12.get("pool_hits").unwrap().as_f64().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn one_diverged_row_fails_acceptance() {
+        let row = |byte_identical| AstarRow { pool_hits: 1, byte_identical, ..Default::default() };
+        assert!(AstarMeasurement { rows: vec![row(true), row(true)] }.accept().is_ok());
+        let err = AstarMeasurement { rows: vec![row(true), row(false)] }.accept().unwrap_err();
+        assert!(err.to_string().contains("diverged"), "{err}");
+        let cold = AstarMeasurement { rows: vec![AstarRow { pool_hits: 0, ..row(true) }] };
+        assert!(cold.accept().is_err(), "a memo that never hit must fail");
     }
 }

@@ -62,6 +62,23 @@ pub fn tick(b: bool) -> String {
     }
 }
 
+/// Rounds to three decimals, for ratios in the `BENCH_*.json` reports.
+pub fn round3(x: f64) -> f64 {
+    (x * 1e3).round() / 1e3
+}
+
+/// A report's acceptance verdict: `Ok` when every `(failure message,
+/// holds)` gate holds, otherwise an error naming each failed gate, so the
+/// `report` binary exits non-zero.
+pub fn accept(gates: &[(&str, bool)]) -> super::ExpResult<()> {
+    let failed: Vec<&str> = gates.iter().filter(|(_, ok)| !ok).map(|(msg, _)| *msg).collect();
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("acceptance failed: {}", failed.join("; ")).into())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

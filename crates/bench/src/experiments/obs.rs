@@ -16,14 +16,15 @@ use std::time::{Duration, Instant};
 use anonet_algorithms::mis::RandomizedMis;
 use anonet_algorithms::problems::MisProblem;
 use anonet_algorithms::two_hop_coloring::TwoHopColoring;
-use anonet_core::astar::{run_astar_observed, AStarConfig};
-use anonet_core::pipeline::{run_pipeline, run_pipeline_observed};
-use anonet_core::SearchStrategy;
+use anonet_core::astar::{run_astar, AStarConfig};
+use anonet_core::pipeline::run_pipeline;
+use anonet_core::{Derandomizer, SearchStrategy};
 use anonet_graph::generators;
 use anonet_obs::{names, Histogram, JsonlRecorder, MemoryRecorder, MemorySnapshot, SharedRecorder};
 use anonet_runtime::{run, ExecConfig, Oblivious, Problem, RngSource};
 
-use crate::experiments::{common::tick, ExpResult, Family};
+use crate::experiments::common::{round3, tick};
+use crate::experiments::{ExpResult, Family};
 use crate::table::{secs, Json};
 use crate::Table;
 
@@ -116,15 +117,13 @@ fn families() -> Vec<Family> {
 pub fn measure() -> ExpResult<ObsMeasurement> {
     let alg = RandomizedMis::new();
     let config = ExecConfig::default();
-    let strategy = SearchStrategy::default();
 
     // Per-family observed pipeline runs + standalone stage-1 curves.
     let mut rows = Vec::new();
     for family in families() {
         let net = family.graph.with_uniform_label(());
         let rec = Arc::new(MemoryRecorder::new());
-        let shared: SharedRecorder = rec.clone();
-        let pipe = run_pipeline_observed(&alg, &net, SEED, strategy, &config, None, &shared)?;
+        let pipe = Derandomizer::new(alg).with_recorder(rec.clone()).pipeline(&net, SEED)?;
         let snapshot = rec.snapshot();
 
         // The curves come from re-running stage 1 alone with the same
@@ -153,9 +152,9 @@ pub fn measure() -> ExpResult<ObsMeasurement> {
 
     // The faithful A_* on the colored triangle, for the Update-* phases.
     let triangle = generators::cycle(3)?.with_labels(vec![((), 1u32), ((), 2), ((), 3)])?;
-    let astar_rec = MemoryRecorder::new();
-    let astar =
-        run_astar_observed(&alg, &MisProblem, &triangle, &AStarConfig::default(), &astar_rec)?;
+    let astar_rec = Arc::new(MemoryRecorder::new());
+    let astar_cfg = AStarConfig { recorder: astar_rec.clone(), ..Default::default() };
+    let astar = run_astar(&alg, &MisProblem, &triangle, &astar_cfg)?;
     let plain_triangle = triangle.map_labels(|_| ());
     if !MisProblem.is_valid_output(&plain_triangle, &astar.outputs) {
         return Err("A_* produced an invalid MIS on the triangle".into());
@@ -173,36 +172,37 @@ pub fn measure() -> ExpResult<ObsMeasurement> {
         phases.push((leaf, astar_snap.span_total(leaf).total));
     }
 
-    // Overhead: min-of-N end-to-end pipeline wall time on the Petersen
-    // graph — (a) the un-instrumented entry point, (b) the same path with
-    // an explicit no-op recorder, (c) a live memory recorder.
-    let net = generators::petersen().with_uniform_label(());
-    const REPS: usize = 5;
-    let timed = |f: &mut dyn FnMut() -> ExpResult<()>| -> ExpResult<Duration> {
-        let mut best = Duration::MAX;
-        for _ in 0..REPS {
-            let t = Instant::now();
-            f()?;
-            best = best.min(t.elapsed());
-        }
-        Ok(best)
-    };
-    let plain = timed(&mut || {
-        run_pipeline(&alg, &net, SEED, strategy)?;
-        Ok(())
-    })?;
-    let noop_rec = anonet_obs::noop();
-    let noop = timed(&mut || {
-        run_pipeline_observed(&alg, &net, SEED, strategy, &config, None, &noop_rec)?;
-        Ok(())
-    })?;
-    let mem_rec: SharedRecorder = Arc::new(MemoryRecorder::new());
-    let memory = timed(&mut || {
-        run_pipeline_observed(&alg, &net, SEED, strategy, &config, None, &mem_rec)?;
-        Ok(())
-    })?;
+    // Overhead: the un-instrumented entry point, the same path with an
+    // explicit no-op recorder, and a live memory recorder.
+    let plain = petersen_pipeline_wall(None)?;
+    let noop = petersen_pipeline_wall(Some(anonet_obs::noop()))?;
+    let memory = petersen_pipeline_wall(Some(Arc::new(MemoryRecorder::new())))?;
 
     Ok(ObsMeasurement { rows, phases, plain, noop, memory })
+}
+
+/// Min-of-5 end-to-end wall time of the MIS pipeline on the Petersen graph
+/// at [`SEED`]: through the plain [`run_pipeline`] entry point for `None`,
+/// else through a [`Derandomizer`] observed by the given recorder. E16 and
+/// E20 measure their recorder overheads with it.
+///
+/// # Errors
+///
+/// Propagates pipeline errors.
+pub(crate) fn petersen_pipeline_wall(recorder: Option<SharedRecorder>) -> ExpResult<Duration> {
+    let alg = RandomizedMis::new();
+    let net = generators::petersen().with_uniform_label(());
+    let observed = recorder.map(|r| Derandomizer::new(alg).with_recorder(r));
+    let mut best = Duration::MAX;
+    for _ in 0..5 {
+        let t = Instant::now();
+        match &observed {
+            Some(derandomizer) => derandomizer.pipeline(&net, SEED)?,
+            None => run_pipeline(&alg, &net, SEED, SearchStrategy::default())?,
+        };
+        best = best.min(t.elapsed());
+    }
+    Ok(best)
 }
 
 /// Streams one representative observed run (Petersen) through `rec` and
@@ -214,20 +214,10 @@ pub fn measure() -> ExpResult<ObsMeasurement> {
 /// Propagates pipeline errors.
 pub fn trace_representative(rec: &SharedRecorder) -> ExpResult<usize> {
     let net = generators::petersen().with_uniform_label(());
-    let pipe = run_pipeline_observed(
-        &RandomizedMis::new(),
-        &net,
-        SEED,
-        SearchStrategy::default(),
-        &ExecConfig::default(),
-        None,
-        rec,
-    )?;
+    let pipe = Derandomizer::new(RandomizedMis::new())
+        .with_recorder(Arc::clone(rec))
+        .pipeline(&net, SEED)?;
     Ok(pipe.outputs.len())
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
 }
 
 /// Histograms merged across the per-family snapshots — the quantile

@@ -26,7 +26,8 @@ use std::time::{Duration, Instant};
 use anonet_graph::{generators, LabeledGraph, NodeId};
 use anonet_views::{canonical_view_encoding, Refinement, ViewMode, ViewTree};
 
-use crate::experiments::{common::tick, ExpResult};
+use crate::experiments::common::{accept, round3, tick};
+use crate::experiments::ExpResult;
 use crate::table::{secs, Json};
 use crate::Table;
 
@@ -125,6 +126,16 @@ impl ScaleMeasurement {
     pub fn byte_identical(&self) -> bool {
         self.rows.iter().all(|r| r.byte_identical)
     }
+
+    /// The E21 acceptance gate: every tier's arena encodings match the
+    /// recursive reference.
+    ///
+    /// # Errors
+    ///
+    /// Names the failed gate.
+    pub fn accept(&self) -> ExpResult<()> {
+        accept(&[("arena encodings diverged from the recursive ViewTree", self.byte_identical())])
+    }
 }
 
 /// Measures one size tier.
@@ -188,10 +199,6 @@ pub fn measure() -> ExpResult<ScaleMeasurement> {
     measure_sizes(&sizes())
 }
 
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
-}
-
 /// Builds `BENCH_scale.json` through the shared serializer.
 pub fn to_json(m: &ScaleMeasurement) -> String {
     let tiers = m.rows.iter().map(|r| {
@@ -222,7 +229,8 @@ pub fn to_json(m: &ScaleMeasurement) -> String {
 ///
 /// # Errors
 ///
-/// Propagates measurement errors; artifact I/O failing is an error too.
+/// Propagates measurement errors; artifact I/O failing is an error too,
+/// and so is a failed acceptance gate ([`ScaleMeasurement::accept`]).
 pub fn report() -> ExpResult<String> {
     let m = measure()?;
 
@@ -257,6 +265,7 @@ pub fn report() -> ExpResult<String> {
 
     let json = to_json(&m);
     std::fs::write("BENCH_scale.json", &json)?;
+    m.accept()?;
 
     Ok(format!(
         "{table}\n\
@@ -306,6 +315,15 @@ mod tests {
         let tiers = sizes();
         assert!(!tiers.is_empty());
         assert!(tiers.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn one_diverged_row_fails_acceptance() {
+        let mut m = measure_sizes(&[80, 160]).unwrap();
+        assert!(m.accept().is_ok());
+        m.rows[1].byte_identical = false;
+        let err = m.accept().unwrap_err();
+        assert!(err.to_string().contains("diverged"), "{err}");
     }
 
     #[test]

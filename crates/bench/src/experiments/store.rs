@@ -23,13 +23,14 @@ use anonet_graph::LabeledGraph;
 use anonet_runtime::ExecConfig;
 
 use crate::experiments::batch::MULTIPLICITIES;
-use crate::experiments::{common::tick, ExpResult};
+use crate::experiments::common::{accept, tick};
+use crate::experiments::ExpResult;
 use crate::table::{secs, Json};
 use crate::Table;
 
 /// One cache lifecycle over the workload ("process" in the two-process
 /// cold/warm protocol).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StorePhase {
     /// `"cold"` or `"warm"`.
     pub name: &'static str,
@@ -44,7 +45,7 @@ pub struct StorePhase {
 }
 
 /// The E18 summary.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StoreSummary {
     /// Jobs per phase.
     pub jobs: usize,
@@ -59,6 +60,21 @@ pub struct StoreSummary {
     pub warm_strictly_better: bool,
     /// Disk-tier accounting after both phases.
     pub disk: anonet_store::StoreStats,
+}
+
+impl StoreSummary {
+    /// The E18 acceptance gates: warm outputs match cold outputs and the
+    /// warm start beats the cold hit rate.
+    ///
+    /// # Errors
+    ///
+    /// Names every gate that failed.
+    pub fn accept(&self) -> ExpResult<()> {
+        accept(&[
+            ("warm outputs diverged from cold", self.identical),
+            ("warm start did not beat the cold hit rate", self.warm_strictly_better),
+        ])
+    }
 }
 
 fn lift_families() -> ExpResult<Vec<LabeledGraph<((), u32)>>> {
@@ -185,7 +201,8 @@ pub fn to_json(s: &StoreSummary) -> String {
 ///
 /// # Errors
 ///
-/// Propagates measurement errors; either JSON write failing is an error.
+/// Propagates measurement errors; either JSON write failing is an error,
+/// and so is a failed acceptance gate ([`StoreSummary::accept`]).
 pub fn report() -> ExpResult<String> {
     let summary = measure()?;
     let mut t = Table::new(
@@ -221,6 +238,7 @@ pub fn report() -> ExpResult<String> {
     .pretty();
     std::fs::create_dir_all("target")?;
     std::fs::write("target/store-report.json", disk_report)?;
+    summary.accept()?;
     Ok(format!(
         "{t}\n{jobs} jobs per phase; cold {cold:.3?} at {ch:.1}% hits, \
          warm {warm:.3?} at {wh:.1}% hits (warmed {wn} entries from disk)\n\
@@ -263,6 +281,20 @@ mod tests {
         assert!(s.warm_strictly_better);
         assert!(s.warm.cache.hit_rate() == 1.0);
         assert!((s.cold.cache.hit_rate() - 0.875).abs() < 1e-12);
+        assert!(s.accept().is_ok());
+    }
+
+    #[test]
+    fn diverged_outputs_fail_acceptance() {
+        let summary = |identical, warm_strictly_better| StoreSummary {
+            identical,
+            warm_strictly_better,
+            ..Default::default()
+        };
+        assert!(summary(true, true).accept().is_ok());
+        let err = summary(false, true).accept().unwrap_err();
+        assert!(err.to_string().contains("diverged"), "{err}");
+        assert!(summary(true, false).accept().is_err());
     }
 
     #[test]

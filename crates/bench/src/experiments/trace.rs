@@ -22,23 +22,20 @@
 //! `anonet-trace` binary).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use anonet_algorithms::mis::RandomizedMis;
-use anonet_core::pipeline::{run_pipeline, run_pipeline_observed};
-use anonet_core::SearchStrategy;
-use anonet_graph::generators;
-use anonet_obs::{names, FlightRecorder, Histogram, JsonlRecorder, SharedRecorder};
-use anonet_runtime::ExecConfig;
-use anonet_soak::{run_campaign_observed, CampaignConfig};
+use anonet_obs::{names, FlightRecorder, Histogram, JsonlRecorder};
+use anonet_soak::{run_campaign, CampaignConfig};
 use anonet_trace::{critical, flame, perfetto, Trace};
 
-use crate::experiments::{common::tick, ExpResult};
+use crate::experiments::common::{round3, tick};
+use crate::experiments::obs::{self, petersen_pipeline_wall};
+use crate::experiments::ExpResult;
 use crate::table::{secs, Json};
 use crate::Table;
 
 /// Seed shared with E16 so the overhead tower measures the same work.
-pub const SEED: u64 = 7;
+pub const SEED: u64 = obs::SEED;
 
 /// Acceptance bound for the no-op path: causal span ids must keep the
 /// disabled recorder within 5% of the un-instrumented pipeline.
@@ -109,44 +106,14 @@ impl TraceMeasurement {
 /// Propagates pipeline/campaign/parse errors — any failure is a
 /// regression.
 pub fn measure() -> ExpResult<TraceMeasurement> {
-    let alg = RandomizedMis::new();
-    let strategy = SearchStrategy::default();
-    let config = ExecConfig::default();
-    let net = generators::petersen().with_uniform_label(());
-
-    const REPS: usize = 5;
-    let timed = |f: &mut dyn FnMut() -> ExpResult<()>| -> ExpResult<Duration> {
-        let mut best = Duration::MAX;
-        for _ in 0..REPS {
-            let t = Instant::now();
-            f()?;
-            best = best.min(t.elapsed());
-        }
-        Ok(best)
-    };
-    let plain = timed(&mut || {
-        run_pipeline(&alg, &net, SEED, strategy)?;
-        Ok(())
-    })?;
-    let noop_rec = anonet_obs::noop();
-    let noop = timed(&mut || {
-        run_pipeline_observed(&alg, &net, SEED, strategy, &config, None, &noop_rec)?;
-        Ok(())
-    })?;
+    let plain = petersen_pipeline_wall(None)?;
+    let noop = petersen_pipeline_wall(Some(anonet_obs::noop()))?;
     let ring = Arc::new(FlightRecorder::new());
-    let flight_rec: SharedRecorder = ring.clone();
-    let flight = timed(&mut || {
-        run_pipeline_observed(&alg, &net, SEED, strategy, &config, None, &flight_rec)?;
-        Ok(())
-    })?;
+    let flight = petersen_pipeline_wall(Some(ring.clone()))?;
 
     // The traced campaign, streamed as JSONL and parsed back.
     let (jsonl, buf) = JsonlRecorder::buffered();
-    let jsonl = Arc::new(jsonl);
-    let shared: SharedRecorder = jsonl.clone();
-    run_campaign_observed(&CampaignConfig::smoke(), &shared)?;
-    drop(shared);
-    drop(jsonl);
+    run_campaign(&CampaignConfig { recorder: Arc::new(jsonl), ..CampaignConfig::smoke() })?;
     let campaign_jsonl = buf.contents();
     let trace = Trace::parse(&campaign_jsonl).map_err(|e| e.to_string())?;
 
@@ -193,10 +160,6 @@ pub fn measure() -> ExpResult<TraceMeasurement> {
         critical_queue_us: report.chain_queue_wait_us,
         campaign_jsonl,
     })
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
 }
 
 /// Builds `BENCH_trace.json` through the shared serializer.

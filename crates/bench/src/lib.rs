@@ -33,7 +33,8 @@
 //! | E21 | [`experiments::scale`] | million-node views layer: arena encoding, color refinement |
 //!
 //! Run them with `cargo run -p anonet-bench --bin report -- <id>|all`.
-//! Timing benchmarks live in `benches/` (Criterion).
+//! End-to-end timing lives in the repo benchmark under `perfbench/`, which
+//! repeats each workload and reports per-layer costs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

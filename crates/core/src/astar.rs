@@ -23,18 +23,18 @@
 //!
 //! ## Engines
 //!
-//! Two engines compute the *same function*:
+//! Two engines compute the *same function*, each taking one
+//! [`AStarConfig`] (budgets, simulation config, and recorder):
 //!
-//! * [`run_astar`] / [`run_astar_observed`] — the **fast path** (default):
-//!   `Update-Graph` runs against the [`crate::astar_cache`] memo —
-//!   candidate pools built once per `(p_capped, universe)`, the C2 scan
-//!   replaced by one hash lookup against a per-depth selection index, and
-//!   balls-by-radius hoisted out of the node loop;
-//! * [`run_astar_reference`] / [`run_astar_reference_observed`] — the
-//!   literal per-node enumeration, kept as the semantic baseline. The
-//!   testkit's differential oracle pins `fast ≡ reference` byte-for-byte
-//!   (outputs, output phases, final bits, phase counts) across problem
-//!   families and adversarial schedules.
+//! * [`run_astar`] — the **fast path** (default): `Update-Graph` runs
+//!   against the [`crate::astar_cache`] memo — candidate pools built once
+//!   per `(p_capped, universe)`, the C2 scan replaced by one hash lookup
+//!   against a per-depth selection index, and balls-by-radius hoisted out
+//!   of the node loop;
+//! * [`run_astar_reference`] — the literal per-node enumeration, kept as
+//!   the semantic baseline. The testkit's differential oracle pins
+//!   `fast ≡ reference` byte-for-byte (outputs, output phases, final bits,
+//!   phase counts) across problem families and adversarial schedules.
 //!
 //! Both engines walk the nodes of a phase sequentially. The instances on
 //! which the enumeration is feasible are a few dozen nodes, and there a
@@ -51,7 +51,7 @@
 //! provided by [`crate::derandomizer`].
 
 use anonet_graph::{distance, BitString, Label, LabeledGraph, NodeId};
-use anonet_obs::{names, NoopRecorder, Recorder, Span};
+use anonet_obs::{names, noop, Recorder, SharedRecorder, Span};
 use anonet_runtime::{
     run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, Problem, TapeSource,
 };
@@ -66,7 +66,7 @@ use crate::error::CoreError;
 use crate::Result;
 
 /// Budgets and knobs for [`run_astar`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct AStarConfig {
     /// Hard cap on phases (the paper's `z + 1` must fall below it).
     pub max_phases: usize,
@@ -78,6 +78,12 @@ pub struct AStarConfig {
     pub max_extension_bits: usize,
     /// Execution config for the quotient simulations.
     pub sim_config: ExecConfig,
+    /// Observability sink. Each per-node phase step reports
+    /// `update_graph` / `update_output` / `update_bits` spans nested under
+    /// an `astar` parent; the fast path's memo also reports
+    /// `astar.pool.{hit,miss}` and the C2 lookup counters. The default
+    /// no-op recorder changes nothing.
+    pub recorder: SharedRecorder,
 }
 
 impl Default for AStarConfig {
@@ -87,6 +93,7 @@ impl Default for AStarConfig {
             max_candidate_nodes: 4,
             max_extension_bits: 18,
             sim_config: ExecConfig::default(),
+            recorder: noop(),
         }
     }
 }
@@ -109,7 +116,7 @@ pub struct AStarRun<O> {
 
 /// Runs the faithful `A_*` for problem `problem`, randomized solver
 /// `alg`, on the 2-hop colored instance `instance` (labels `(input,
-/// color)`) — fast path, single-threaded.
+/// color)`) — fast path, single-threaded, observed by `cfg.recorder`.
 ///
 /// # Errors
 ///
@@ -130,32 +137,7 @@ where
     P: Problem<Input = A::Input>,
     C: Label,
 {
-    run_astar_observed(alg, problem, instance, cfg, &NoopRecorder)
-}
-
-/// [`run_astar`] under an observability [`Recorder`]: each per-node phase
-/// step reports `update_graph` / `update_output` / `update_bits` spans
-/// (nested under an `astar` parent), so aggregating backends expose the
-/// wall-time breakdown of the paper's three Update-* rules; the memo
-/// additionally reports `astar.pool.hit` / `astar.pool.miss` and the C2
-/// lookup counters. With the no-op recorder this is exactly [`run_astar`].
-///
-/// # Errors
-///
-/// See [`run_astar`].
-pub fn run_astar_observed<A, P, C>(
-    alg: &A,
-    problem: &P,
-    instance: &LabeledGraph<(A::Input, C)>,
-    cfg: &AStarConfig,
-    rec: &dyn Recorder,
-) -> Result<AStarRun<A::Output>>
-where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
-    P: Problem<Input = A::Input>,
-    C: Label,
-{
+    let rec: &dyn Recorder = &*cfg.recorder;
     let _astar_span = Span::new(rec, names::SPAN_ASTAR);
     let g = instance.graph();
     let n = g.node_count();
@@ -165,10 +147,10 @@ where
     for p in 1..=cfg.max_phases {
         state.equivalent_rounds += p;
         let ip = augment(instance, &state.bits)?;
-        let keys = prepare_phase(&mut cache, problem, &ip, p, cfg, rec)?;
+        let keys = prepare_phase(&mut cache, problem, &ip, p, cfg)?;
         let results: Vec<Result<NodeOutcome<A::Output>>> = g
             .nodes()
-            .map(|v| astar_node_step(alg, &ip, v, p, keys[v.index()], &cache, cfg, rec))
+            .map(|v| astar_node_step(alg, &ip, v, p, keys[v.index()], &cache, cfg))
             .collect();
         if let Some(done) = state.commit_phase(results, p)? {
             return Ok(done);
@@ -197,7 +179,6 @@ fn prepare_phase<I, C, P>(
     ip: &LabeledGraph<CandidateLabel<I, C>>,
     p: usize,
     cfg: &AStarConfig,
-    rec: &dyn Recorder,
 ) -> Result<Vec<PoolKey>>
 where
     I: Label,
@@ -206,7 +187,7 @@ where
 {
     let universes = cache.phase_universes(ip, p - 1);
     let p_capped = p.min(cfg.max_candidate_nodes);
-    universes.iter().map(|u| cache.ensure_pool(problem, p_capped, p, u, rec)).collect()
+    universes.iter().map(|u| cache.ensure_pool(problem, p_capped, p, u, &*cfg.recorder)).collect()
 }
 
 /// What one node's phase step produced: its adopted output (if the
@@ -222,7 +203,6 @@ struct NodeOutcome<O> {
 /// One node's phase `p`: C2 lookup against the pool's selection index
 /// (`Update-Graph`), quotient simulation (`Update-Output`), minimal tape
 /// extension (`Update-Bits`). Reads shared phase state only.
-#[allow(clippy::too_many_arguments)]
 fn astar_node_step<A, C>(
     alg: &A,
     ip: &LabeledGraph<CandidateLabel<A::Input, C>>,
@@ -231,13 +211,13 @@ fn astar_node_step<A, C>(
     key: PoolKey,
     cache: &AstarCache<A::Input, C>,
     cfg: &AStarConfig,
-    rec: &dyn Recorder,
 ) -> Result<NodeOutcome<A::Output>>
 where
     A: ObliviousAlgorithm + Clone,
     A::Input: Label,
     C: Label,
 {
+    let rec: &dyn Recorder = &*cfg.recorder;
     let update_graph_span = Span::new(rec, names::SPAN_UPDATE_GRAPH);
     // Arena-backed build: byte-identical to `ViewTree::build(..)?.
     // canonical_encoding()` (pinned by the views tests and the testkit
@@ -359,7 +339,8 @@ impl<O: Clone + PartialEq> AStarState<O> {
 /// candidate pool and scan it for the minimal matching candidate. Kept as
 /// the semantic baseline for [`run_astar`]'s memoized engine — the
 /// `astar-fast-vs-reference` differential oracle compares the two
-/// byte-for-byte.
+/// byte-for-byte. Reports the same spans as [`run_astar`], without the
+/// memo counters.
 ///
 /// # Errors
 ///
@@ -377,28 +358,7 @@ where
     P: Problem<Input = A::Input>,
     C: Label,
 {
-    run_astar_reference_observed(alg, problem, instance, cfg, &NoopRecorder)
-}
-
-/// [`run_astar_reference`] under a [`Recorder`] (same spans as
-/// [`run_astar_observed`], without the memo counters).
-///
-/// # Errors
-///
-/// See [`run_astar`].
-pub fn run_astar_reference_observed<A, P, C>(
-    alg: &A,
-    problem: &P,
-    instance: &LabeledGraph<(A::Input, C)>,
-    cfg: &AStarConfig,
-    rec: &dyn Recorder,
-) -> Result<AStarRun<A::Output>>
-where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
-    P: Problem<Input = A::Input>,
-    C: Label,
-{
+    let rec: &dyn Recorder = &*cfg.recorder;
     let _astar_span = Span::new(rec, names::SPAN_ASTAR);
     let g = instance.graph();
     let n = g.node_count();
@@ -664,15 +624,9 @@ mod tests {
     #[test]
     fn observed_astar_reports_phase_spans_and_matches_plain() {
         let inst = triangle_instance();
-        let rec = anonet_obs::MemoryRecorder::new();
-        let observed = run_astar_observed(
-            &RandomizedMis::new(),
-            &MisProblem,
-            &inst,
-            &AStarConfig::default(),
-            &rec,
-        )
-        .unwrap();
+        let rec = std::sync::Arc::new(anonet_obs::MemoryRecorder::new());
+        let cfg = AStarConfig { recorder: rec.clone(), ..Default::default() };
+        let observed = run_astar(&RandomizedMis::new(), &MisProblem, &inst, &cfg).unwrap();
         let snap = rec.snapshot();
         assert_eq!(snap.span("astar").unwrap().count, 1);
         let ug = snap.span("astar/update_graph").unwrap();

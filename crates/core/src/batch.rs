@@ -22,8 +22,9 @@ use anonet_graph::{Label, LabeledGraph};
 use anonet_runtime::{ExecConfig, ObliviousAlgorithm};
 
 use crate::derandomizer::{DerandomizedRun, Derandomizer};
-use crate::pipeline::{run_pipeline_cached, PipelineRun};
+use crate::pipeline::PipelineRun;
 use crate::search::SearchStrategy;
+use crate::Result;
 
 /// Derandomizes every 2-hop colored instance in `instances` concurrently.
 ///
@@ -82,27 +83,17 @@ where
     A::Output: Send,
     C: Label + Send + Sync,
 {
-    let before = cache.map(|c| c.stats());
-    let mut derandomizer =
-        Derandomizer::new(alg.clone()).with_strategy(strategy).with_config(*config);
-    if let Some(cache) = cache {
-        derandomizer = derandomizer.with_cache(Arc::clone(cache));
-    }
-    let mut outcome = scheduler.run(instances, |_idx, instance| derandomizer.run(instance));
-    outcome.stats.stages = stage_times(
-        &outcome.results,
+    let derandomizer = Derandomizer::configured(alg, strategy, config, cache);
+    run_window(
+        scheduler,
+        instances,
+        cache,
         &[
             ("quotient", &|r: &DerandomizedRun<A::Output>| r.quotient_time),
             ("search+lift", &|r| r.search_time),
         ],
-    );
-    if let (Some(cache), Some(before)) = (cache, before) {
-        // Both snapshots come from the same live cache within this call, so
-        // the window is monotone; an (unreachable) regression yields `None`
-        // rather than fabricated numbers.
-        outcome.stats.cache = cache.stats().delta_from(&before).ok();
-    }
-    outcome
+        |_idx, instance| derandomizer.run(instance),
+    )
 }
 
 /// Runs the full Theorem-1 pipeline over many `(network, seed)` jobs
@@ -122,17 +113,45 @@ where
     A::Input: Label + Send + Sync,
     A::Output: Send,
 {
-    let before = cache.map(|c| c.stats());
-    let mut outcome = scheduler.run(jobs, |_idx, (net, seed)| {
-        run_pipeline_cached(alg, net, *seed, strategy, config, cache)
-    });
-    outcome.stats.stages = stage_times(
-        &outcome.results,
+    let derandomizer = Derandomizer::configured(alg, strategy, config, cache);
+    run_window(
+        scheduler,
+        jobs,
+        cache,
         &[
             ("coloring", &|r: &PipelineRun<A::Output>| r.coloring_time),
             ("derandomize", &|r| r.deterministic_time),
         ],
-    );
+        |_idx, (net, seed)| derandomizer.pipeline(net, *seed),
+    )
+}
+
+/// A named accessor for one per-run stage duration.
+type StageTime<'a, O> = (&'a str, &'a dyn Fn(&O) -> Duration);
+
+/// Runs `jobs` on `scheduler`, then fills in the batch's summed per-stage
+/// times and, with a cache, the cache-accounting delta for exactly this
+/// batch's window.
+fn run_window<I, O>(
+    scheduler: &BatchScheduler,
+    jobs: &[I],
+    cache: Option<&Arc<DerandCache>>,
+    stages: &[StageTime<'_, O>],
+    job: impl Fn(usize, &I) -> Result<O> + Sync,
+) -> BatchOutcome<O>
+where
+    I: Sync,
+    O: Send,
+{
+    let before = cache.map(|c| c.stats());
+    let mut outcome = scheduler.run(jobs, job);
+    outcome.stats.stages = stages
+        .iter()
+        .map(|(name, time_of)| {
+            let total = outcome.results.iter().filter_map(|r| r.ok()).map(time_of).sum();
+            (name.to_string(), total)
+        })
+        .collect();
     if let (Some(cache), Some(before)) = (cache, before) {
         // Both snapshots come from the same live cache within this call, so
         // the window is monotone; an (unreachable) regression yields `None`
@@ -140,23 +159,6 @@ where
         outcome.stats.cache = cache.stats().delta_from(&before).ok();
     }
     outcome
-}
-
-/// A named accessor for one per-run stage duration.
-type StageTime<'a, O> = (&'a str, &'a dyn Fn(&O) -> Duration);
-
-/// Sums each named per-run stage duration over the successful results.
-fn stage_times<O>(
-    results: &[anonet_batch::JobResult<O>],
-    stages: &[StageTime<'_, O>],
-) -> Vec<(String, Duration)> {
-    stages
-        .iter()
-        .map(|(name, time_of)| {
-            let total = results.iter().filter_map(|r| r.ok()).map(time_of).sum();
-            (name.to_string(), total)
-        })
-        .collect()
 }
 
 #[cfg(test)]

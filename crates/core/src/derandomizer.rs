@@ -24,9 +24,9 @@ use anonet_batch::{CachedAssignment, Claim, DerandCache, Lookup};
 use anonet_graph::{BitString, Label, LabeledGraph};
 use anonet_obs::{names, noop, Recorder, SharedRecorder, Span};
 use anonet_runtime::{run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, TapeSource};
-use anonet_views::{canonical_order, quotient, thread_arena_stats, ViewMode};
+use anonet_views::{canonical_order, quotient, ViewMode};
 
-use crate::search::{canonical_successful_simulation, SearchStrategy};
+use crate::search::{canonical_successful_simulation, CanonicalSimulation, SearchStrategy};
 use crate::Result;
 
 /// The outcome of derandomizing one instance.
@@ -81,9 +81,9 @@ pub struct DerandomizedRun<O> {
 pub struct Derandomizer<A> {
     alg: A,
     strategy: SearchStrategy,
-    config: ExecConfig,
+    pub(crate) config: ExecConfig,
     cache: Option<Arc<DerandCache>>,
-    recorder: SharedRecorder,
+    pub(crate) recorder: SharedRecorder,
 }
 
 impl<A> Derandomizer<A>
@@ -99,6 +99,21 @@ where
             config: ExecConfig::default(),
             cache: None,
             recorder: noop(),
+        }
+    }
+
+    /// The builder behind the positional batch and pipeline drivers.
+    pub(crate) fn configured(
+        alg: &A,
+        strategy: SearchStrategy,
+        config: &ExecConfig,
+        cache: Option<&Arc<DerandCache>>,
+    ) -> Self {
+        Derandomizer {
+            strategy,
+            config: *config,
+            cache: cache.cloned(),
+            ..Derandomizer::new(alg.clone())
         }
     }
 
@@ -161,7 +176,6 @@ where
         let rec: &dyn Recorder = &*self.recorder;
         let observing = rec.is_enabled();
         let _derand_span = Span::new(rec, names::SPAN_DERANDOMIZE);
-        let arena_before = thread_arena_stats();
 
         // Step 1: the finite view graph of the full (i, c)-labeled instance.
         let t0 = Instant::now();
@@ -185,6 +199,7 @@ where
         // wait for this search instead of repeating it.
         let t1 = Instant::now();
         let mut claim: Option<Claim<'_>> = None;
+        let mut replayed = None;
         if let Some(cache) = &self.cache {
             let key = anonet_graph::canonical::encode_with_order(q.graph(), &order);
             cache.record_quotient(&key, q.graph().node_count(), q.multiplicity().unwrap_or(0));
@@ -200,75 +215,69 @@ where
                     let assignment = BitAssignment::new(tapes);
                     let replay_span = Span::new(rec, names::SPAN_REPLAY);
                     let mut src = TapeSource::new(assignment.clone());
-                    let exec = run(&Oblivious(self.alg.clone()), &j, &mut src, &self.config)?;
+                    let execution = run(&Oblivious(self.alg.clone()), &j, &mut src, &self.config)?;
                     drop(replay_span);
-                    if exec.is_successful() {
+                    // A failed replay means a foreign entry (a key collision
+                    // is impossible, but an incompatible config is not):
+                    // fall through to the real search.
+                    if execution.is_successful() {
                         if observing {
                             rec.counter(names::CACHE_HIT, 1);
-                            rec.histogram(names::CACHE_BYTES, cache.stats().bytes as u64);
-                            record_view_obs(rec, arena_before);
                         }
-                        let lift_span = Span::new(rec, names::SPAN_LIFT);
-                        let qouts = exec.outputs_unwrapped();
-                        let outputs = q
-                            .class_of()
-                            .iter()
-                            .map(|&c| qouts[c.index()].clone())
-                            .collect::<Vec<_>>();
-                        drop(lift_span);
-                        return Ok(DerandomizedRun {
-                            outputs,
-                            quotient_nodes: q.graph().node_count(),
-                            multiplicity: q.multiplicity().unwrap_or(0),
-                            assignment,
-                            simulation_rounds: hit.simulation_rounds,
-                            attempts: hit.attempts,
-                            cache_hit: true,
-                            quotient_time,
-                            search_time: t1.elapsed(),
-                        });
+                        let sim =
+                            CanonicalSimulation { execution, assignment, attempts: hit.attempts };
+                        replayed = Some((sim, hit.simulation_rounds));
                     }
-                    // The replay failed: a foreign entry (e.g. a key
-                    // collision is impossible, but an incompatible config
-                    // is not) — fall through to the real search.
                 }
                 Lookup::Hit(_) => {}
             }
         }
 
         // Step 2: canonical successful simulation of A_R on J = (V_*, E_*, i_*).
-        if observing && self.cache.is_some() {
-            rec.counter(names::CACHE_MISS, 1);
-        }
-        let search_span = Span::new(rec, names::SPAN_SEARCH);
-        let sim =
-            canonical_successful_simulation(&self.alg, &j, &order, self.strategy, &self.config)?;
-        drop(search_span);
-        if observing {
-            rec.counter(names::SEARCH_ATTEMPTS, sim.attempts as u64);
-        }
-
-        // Publish the found assignment under its content address, tapes
-        // keyed by canonical position so any isomorphic presentation can
-        // replay them. (A failed search drops the claim unpublished.)
-        if let Some(claim) = claim {
-            let tapes = order
-                .iter()
-                .map(|&v| sim.assignment.tape(v).cloned().unwrap_or_default())
-                .collect();
-            claim.publish(CachedAssignment {
-                tapes,
-                attempts: sim.attempts,
-                simulation_rounds: sim.execution.rounds(),
-            });
-        }
+        let cache_hit = replayed.is_some();
+        let (sim, simulation_rounds) = match replayed {
+            Some(replayed) => replayed,
+            None => {
+                if observing && self.cache.is_some() {
+                    rec.counter(names::CACHE_MISS, 1);
+                }
+                let search_span = Span::new(rec, names::SPAN_SEARCH);
+                let sim = canonical_successful_simulation(
+                    &self.alg,
+                    &j,
+                    &order,
+                    self.strategy,
+                    &self.config,
+                )?;
+                drop(search_span);
+                if observing {
+                    rec.counter(names::SEARCH_ATTEMPTS, sim.attempts as u64);
+                }
+                // Publish the found assignment under its content address,
+                // tapes keyed by canonical position so any isomorphic
+                // presentation can replay them. (A failed search drops the
+                // claim unpublished.)
+                let simulation_rounds = sim.execution.rounds();
+                if let Some(claim) = claim {
+                    let tapes = order
+                        .iter()
+                        .map(|&v| sim.assignment.tape(v).cloned().unwrap_or_default())
+                        .collect();
+                    claim.publish(CachedAssignment {
+                        tapes,
+                        attempts: sim.attempts,
+                        simulation_rounds,
+                    });
+                }
+                (sim, simulation_rounds)
+            }
+        };
 
         // Step 3: lift outputs along the projection.
         if observing {
             if let Some(cache) = &self.cache {
                 rec.histogram(names::CACHE_BYTES, cache.stats().bytes as u64);
             }
-            record_view_obs(rec, arena_before);
         }
         let lift_span = Span::new(rec, names::SPAN_LIFT);
         let qouts = sim.execution.outputs_unwrapped();
@@ -280,26 +289,13 @@ where
             quotient_nodes: q.graph().node_count(),
             multiplicity: q.multiplicity().unwrap_or(0),
             assignment: sim.assignment,
-            simulation_rounds: sim.execution.rounds(),
+            simulation_rounds,
             attempts: sim.attempts,
-            cache_hit: false,
+            cache_hit,
             quotient_time,
             search_time: t1.elapsed(),
         })
     }
-}
-
-/// Emits this run's view-machinery deltas: interner hit/miss counters and
-/// the number of arena vertices built (a per-run gauge, recorded as a
-/// histogram sample — the [`Recorder`] surface has no gauge type).
-fn record_view_obs(rec: &dyn Recorder, before: anonet_views::ArenaStats) {
-    let now = thread_arena_stats();
-    rec.counter(names::VIEWS_INTERNER_HIT, now.interner_hits.saturating_sub(before.interner_hits));
-    rec.counter(
-        names::VIEWS_INTERNER_MISS,
-        now.interner_misses.saturating_sub(before.interner_misses),
-    );
-    rec.histogram(names::VIEWS_ARENA_NODES, now.nodes_built.saturating_sub(before.nodes_built));
 }
 
 /// Derandomizes an arbitrary **port-sensitive** algorithm on a 2-hop

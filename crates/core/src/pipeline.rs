@@ -5,17 +5,17 @@
 //! 2-hop coloring, followed by a problem-specific deterministic stage."*
 //! (paper, abstract)
 //!
-//! [`run_pipeline`] is that sentence as code: stage 1 runs the Las-Vegas
-//! [`TwoHopColoring`] algorithm (the **only** place randomness is
-//! consumed); stage 2 hands the colored instance to the deterministic
-//! [`Derandomizer`] for the actual problem.
+//! [`Derandomizer::pipeline`] is that sentence as code: stage 1 runs the
+//! Las-Vegas [`TwoHopColoring`] algorithm (the **only** place randomness
+//! is consumed); stage 2 hands the colored instance to the same
+//! deterministic [`Derandomizer`] for the actual problem.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use anonet_batch::DerandCache;
 use anonet_graph::{BitString, Label, LabeledGraph};
-use anonet_obs::{bridge, names, noop, Recorder, SharedRecorder, Span};
+use anonet_obs::{bridge, names, Recorder, Span};
 use anonet_runtime::{run, ExecConfig, Oblivious, ObliviousAlgorithm, RngSource};
 
 use anonet_algorithms::two_hop_coloring::TwoHopColoring;
@@ -43,38 +43,96 @@ pub struct PipelineRun<O> {
     pub deterministic_time: Duration,
 }
 
-/// Runs the two-stage pipeline for a randomized algorithm `alg` on `net`.
-///
-/// * Stage 1 (randomized, generic): 2-hop color the network with seed
-///   `seed`.
-/// * Stage 2 (deterministic, problem-specific): derandomize `alg` on the
-///   colored instance with `strategy`.
+impl<A> Derandomizer<A>
+where
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
+{
+    /// Runs the two-stage pipeline on `net`.
+    ///
+    /// * Stage 1 (randomized, generic): 2-hop color the network with seed
+    ///   `seed`, under this derandomizer's execution config.
+    /// * Stage 2 (deterministic, problem-specific): [`Derandomizer::run`]
+    ///   on the colored instance.
+    ///
+    /// Stage 1 is never cached — it is seed-dependent by design — but two
+    /// different seeds frequently color a graph into the *same* quotient
+    /// up to isomorphism, so an attached cache shares stage-2 work even
+    /// within a single network. An attached recorder sees a `pipeline`
+    /// span with nested `coloring` and `derandomize/...` children, and
+    /// stage 1's execution profile as `engine.*` metrics.
+    ///
+    /// # Errors
+    ///
+    /// Runtime errors from stage 1; derandomization errors from stage 2 (the
+    /// coloring produced by stage 1 is always valid, so
+    /// [`CoreError::NotTwoHopColored`](crate::CoreError::NotTwoHopColored)
+    /// here would indicate a bug).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use anonet_graph::generators;
+    /// use anonet_runtime::Problem;
+    /// use anonet_algorithms::{mis::RandomizedMis, problems::MisProblem};
+    /// use anonet_core::Derandomizer;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let net = generators::petersen().with_uniform_label(());
+    /// let run = Derandomizer::new(RandomizedMis::new()).pipeline(&net, 7)?;
+    /// assert!(MisProblem.is_valid_output(&net, &run.outputs));
+    /// // Stage 2 consumed no randomness at all:
+    /// assert!(run.random_bits > 0); // ... all of it in stage 1
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn pipeline(
+        &self,
+        net: &LabeledGraph<A::Input>,
+        seed: u64,
+    ) -> Result<PipelineRun<A::Output>> {
+        let rec: &dyn Recorder = &*self.recorder;
+        let _pipeline_span = Span::new(rec, names::SPAN_PIPELINE);
+
+        // Stage 1: randomized 2-hop coloring.
+        let t0 = Instant::now();
+        let coloring_span = Span::new(rec, names::SPAN_COLORING);
+        let unit = net.map_labels(|_| ());
+        let stage1 = run(
+            &Oblivious(TwoHopColoring::new()),
+            &unit,
+            &mut RngSource::seeded(seed),
+            &self.config,
+        )?;
+        let coloring = stage1.outputs_unwrapped();
+        drop(coloring_span);
+        bridge::record_execution(rec, &stage1);
+        let coloring_time = t0.elapsed();
+
+        // Stage 2: deterministic derandomization on the colored instance.
+        let t1 = Instant::now();
+        let colored = net.graph().with_labels(coloring.clone())?;
+        let deterministic = self.run(&net.zip(&colored)?)?;
+
+        Ok(PipelineRun {
+            outputs: deterministic.outputs.clone(),
+            coloring,
+            coloring_rounds: stage1.rounds(),
+            random_bits: stage1.bits_consumed(),
+            deterministic_time: t1.elapsed(),
+            deterministic,
+            coloring_time,
+        })
+    }
+}
+
+/// [`Derandomizer::pipeline`] with the default execution config and no
+/// cache. Kept as a positional shim because the `perfbench` benchmark
+/// calls it by name.
 ///
 /// # Errors
 ///
-/// Runtime errors from stage 1; derandomization errors from stage 2 (the
-/// coloring produced by stage 1 is always valid, so
-/// [`CoreError::NotTwoHopColored`](crate::CoreError::NotTwoHopColored)
-/// here would indicate a bug).
-///
-/// # Example
-///
-/// ```
-/// use anonet_graph::generators;
-/// use anonet_runtime::Problem;
-/// use anonet_algorithms::{mis::RandomizedMis, problems::MisProblem};
-/// use anonet_core::{pipeline::run_pipeline, SearchStrategy};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let net = generators::petersen().with_uniform_label(());
-/// let run = run_pipeline(&RandomizedMis::new(), &net, 7,
-///                        SearchStrategy::default())?;
-/// assert!(MisProblem.is_valid_output(&net, &run.outputs));
-/// // Stage 2 consumed no randomness at all:
-/// assert!(run.random_bits > 0); // ... all of it in stage 1
-/// # Ok(())
-/// # }
-/// ```
+/// See [`Derandomizer::pipeline`].
 pub fn run_pipeline<A>(
     alg: &A,
     net: &LabeledGraph<A::Input>,
@@ -85,19 +143,16 @@ where
     A: ObliviousAlgorithm + Clone,
     A::Input: Label,
 {
-    run_pipeline_cached(alg, net, seed, strategy, &ExecConfig::default(), None)
+    Derandomizer::new(alg.clone()).with_strategy(strategy).pipeline(net, seed)
 }
 
-/// [`run_pipeline`] with an explicit execution config for both stages and
-/// an optional content-addressed [`DerandCache`] handle for the
-/// deterministic stage. Stage 1 (the randomized coloring) is never cached
-/// — it is seed-dependent by design — but two different seeds frequently
-/// color a graph into the *same* quotient up to isomorphism, so stage-2
-/// sharing kicks in even within a single network.
+/// [`Derandomizer::pipeline`] with an explicit execution config and an
+/// optional shared [`DerandCache`]. Kept as a positional shim because the
+/// `perfbench` benchmark calls it by name.
 ///
 /// # Errors
 ///
-/// See [`run_pipeline`].
+/// See [`Derandomizer::pipeline`].
 pub fn run_pipeline_cached<A>(
     alg: &A,
     net: &LabeledGraph<A::Input>,
@@ -110,69 +165,7 @@ where
     A: ObliviousAlgorithm + Clone,
     A::Input: Label,
 {
-    run_pipeline_observed(alg, net, seed, strategy, config, cache, &noop())
-}
-
-/// [`run_pipeline_cached`] under an observability [`Recorder`]: the run
-/// then reports a `pipeline` span with nested `coloring` and
-/// `derandomize/...` children, bridges stage 1's execution profile into
-/// the `engine.*` metrics, and threads the recorder through the
-/// [`Derandomizer`] for stage-2 spans and cache counters. With the no-op
-/// recorder this is exactly [`run_pipeline_cached`] — the byte-identity
-/// tests pin that down.
-///
-/// # Errors
-///
-/// See [`run_pipeline`].
-pub fn run_pipeline_observed<A>(
-    alg: &A,
-    net: &LabeledGraph<A::Input>,
-    seed: u64,
-    strategy: SearchStrategy,
-    config: &ExecConfig,
-    cache: Option<&Arc<DerandCache>>,
-    recorder: &SharedRecorder,
-) -> Result<PipelineRun<A::Output>>
-where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
-{
-    let rec: &dyn Recorder = &**recorder;
-    let _pipeline_span = Span::new(rec, names::SPAN_PIPELINE);
-
-    // Stage 1: randomized 2-hop coloring.
-    let t0 = Instant::now();
-    let coloring_span = Span::new(rec, names::SPAN_COLORING);
-    let unit = net.map_labels(|_| ());
-    let stage1 =
-        run(&Oblivious(TwoHopColoring::new()), &unit, &mut RngSource::seeded(seed), config)?;
-    let coloring = stage1.outputs_unwrapped();
-    drop(coloring_span);
-    bridge::record_execution(rec, &stage1);
-    let coloring_time = t0.elapsed();
-
-    // Stage 2: deterministic derandomization on the colored instance.
-    let t1 = Instant::now();
-    let colored = net.graph().with_labels(coloring.clone())?;
-    let instance = net.zip(&colored)?;
-    let mut derandomizer = Derandomizer::new(alg.clone())
-        .with_strategy(strategy)
-        .with_config(*config)
-        .with_recorder(Arc::clone(recorder));
-    if let Some(cache) = cache {
-        derandomizer = derandomizer.with_cache(Arc::clone(cache));
-    }
-    let deterministic = derandomizer.run(&instance)?;
-
-    Ok(PipelineRun {
-        outputs: deterministic.outputs.clone(),
-        coloring,
-        coloring_rounds: stage1.rounds(),
-        random_bits: stage1.bits_consumed(),
-        deterministic_time: t1.elapsed(),
-        deterministic,
-        coloring_time,
-    })
+    Derandomizer::configured(alg, strategy, config, cache).pipeline(net, seed)
 }
 
 #[cfg(test)]
@@ -245,17 +238,10 @@ mod tests {
         use anonet_obs::MemoryRecorder;
         let net = generators::cycle(6).unwrap().with_uniform_label(());
         let rec = Arc::new(MemoryRecorder::new());
-        let shared: SharedRecorder = rec.clone();
-        let run = run_pipeline_observed(
-            &RandomizedMis::new(),
-            &net,
-            7,
-            SearchStrategy::default(),
-            &ExecConfig::default(),
-            None,
-            &shared,
-        )
-        .unwrap();
+        let run = Derandomizer::new(RandomizedMis::new())
+            .with_recorder(rec.clone())
+            .pipeline(&net, 7)
+            .unwrap();
         let snap = rec.snapshot();
         assert_eq!(snap.span(names::SPAN_PIPELINE).unwrap().count, 1);
         assert_eq!(snap.span("pipeline/coloring").unwrap().count, 1);
@@ -279,7 +265,7 @@ mod tests {
         assert_eq!(view_depth.sum(), depth as u128);
         // No cache attached: no cache counters.
         assert_eq!(snap.counter(names::CACHE_HIT) + snap.counter(names::CACHE_MISS), 0);
-        // The observed run computes the same thing as the plain one.
+        // The observed run computes the same thing as the plain shim.
         let plain =
             run_pipeline(&RandomizedMis::new(), &net, 7, SearchStrategy::default()).unwrap();
         assert_eq!(run.outputs, plain.outputs);
@@ -292,19 +278,11 @@ mod tests {
         use anonet_obs::MemoryRecorder;
         let net = generators::cycle(6).unwrap().with_uniform_label(());
         let rec = Arc::new(MemoryRecorder::new());
-        let shared: SharedRecorder = rec.clone();
-        let cache = Arc::new(DerandCache::new());
+        let derandomizer = Derandomizer::new(RandomizedMis::new())
+            .with_cache(Arc::new(DerandCache::new()))
+            .with_recorder(rec.clone());
         for seed in [7u64, 7, 7] {
-            run_pipeline_observed(
-                &RandomizedMis::new(),
-                &net,
-                seed,
-                SearchStrategy::default(),
-                &ExecConfig::default(),
-                Some(&cache),
-                &shared,
-            )
-            .unwrap();
+            derandomizer.pipeline(&net, seed).unwrap();
         }
         let snap = rec.snapshot();
         // Same seed ⇒ same coloring ⇒ same quotient: 1 miss, then hits.

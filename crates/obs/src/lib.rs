@@ -209,12 +209,6 @@ pub mod names {
     pub const ASTAR_C2_LOOKUPS: &str = "astar.c2.lookups";
     /// C2 lookups that found a matching candidate.
     pub const ASTAR_C2_HITS: &str = "astar.c2.hits";
-    /// View-encoding interner lookups that found an existing encoding.
-    pub const VIEWS_INTERNER_HIT: &str = "views.interner.hit";
-    /// View-encoding interner lookups that inserted a new encoding.
-    pub const VIEWS_INTERNER_MISS: &str = "views.interner.miss";
-    /// View-tree vertices built in the arena (gauge: built this run).
-    pub const VIEWS_ARENA_NODES: &str = "views.arena.nodes";
     /// One batch-scheduler run.
     pub const SPAN_BATCH_RUN: &str = "batch_run";
     /// One batch job, queue-claim to completion.

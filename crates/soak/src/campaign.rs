@@ -4,11 +4,11 @@
 //! then two batch passes against the campaign's one shared
 //! [`PersistentDerandCache`] — a *cold* pass that does the work and a
 //! *warm* pass that must answer every lookup from cache and reproduce
-//! the cold outputs byte for byte. The warm pass is what makes the hit
-//! counts exact-match material for the sentinel: with everything
-//! resident, `warm_hits == jobs` and `warm_misses == 0` at any thread
-//! count, while the cold split can race benignly when two workers miss
-//! the same fresh quotient together.
+//! the cold outputs byte for byte. Every hit count is exact-match
+//! material for the sentinel: cache lookups are single-flight, so the
+//! cold pass misses exactly once per fresh quotient at any thread count,
+//! and with everything resident `warm_hits == jobs` and
+//! `warm_misses == 0`.
 //!
 //! All seeds derive from [`CampaignCell::cases`]; wall-clock only ever
 //! lands in the explicitly timing-typed fields of [`CellReport`].
@@ -19,11 +19,10 @@ use std::time::{Duration, Instant};
 use anonet_algorithms::mis::RandomizedMis;
 use anonet_algorithms::problems::MisProblem;
 use anonet_batch::{BatchScheduler, CacheStats, PersistentDerandCache};
-use anonet_core::astar::{run_astar_observed, AStarConfig};
-use anonet_core::pipeline::run_pipeline_observed;
-use anonet_core::{derandomize_batch, DerandomizedRun, SearchStrategy};
+use anonet_core::astar::{run_astar, AStarConfig};
+use anonet_core::{derandomize_batch, DerandomizedRun, Derandomizer, SearchStrategy};
 use anonet_graph::LabeledGraph;
-use anonet_obs::{names, MemoryRecorder, Recorder, SharedRecorder, Span};
+use anonet_obs::{names, noop, MemoryRecorder, Recorder, SharedRecorder, Span};
 use anonet_runtime::ExecConfig;
 use anonet_store::StoreConfig;
 use anonet_testkit::{build_instance, CampaignCell, CampaignGrid, Suite, TestCase};
@@ -33,6 +32,7 @@ use crate::{Result, SoakError};
 /// Everything that determines a campaign (and therefore its report,
 /// modulo timings): the grid, the seed, the reps per cell, and the
 /// optional wall-clock budget after which remaining cells are skipped.
+/// The recorder only observes the campaign.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// The cell grid to sweep.
@@ -44,6 +44,9 @@ pub struct CampaignConfig {
     /// Stop *starting* cells once this much wall time has elapsed; the
     /// report marks itself truncated and lists the skipped cells.
     pub budget: Option<Duration>,
+    /// Receives `soak.*` metrics and the campaign's causal span tree
+    /// (default: the no-op recorder).
+    pub recorder: SharedRecorder,
 }
 
 impl CampaignConfig {
@@ -51,18 +54,18 @@ impl CampaignConfig {
     /// This is what `anonet-soak run` executes and what the committed
     /// `BENCH_soak.json` baseline is generated from.
     pub fn full() -> CampaignConfig {
-        CampaignConfig { grid: CampaignGrid::full(), base_seed: 0xA11CE, reps: 2, budget: None }
+        CampaignConfig {
+            grid: CampaignGrid::full(),
+            base_seed: 0xA11CE,
+            reps: 2,
+            budget: None,
+            recorder: noop(),
+        }
     }
 
     /// The three-cell mini-campaign used by the default test suite.
     pub fn smoke() -> CampaignConfig {
-        CampaignConfig { grid: CampaignGrid::smoke(), base_seed: 0xA11CE, reps: 1, budget: None }
-    }
-
-    /// Sets the wall-clock budget from whole seconds.
-    pub fn with_budget_secs(mut self, secs: u64) -> CampaignConfig {
-        self.budget = Some(Duration::from_secs(secs));
-        self
+        CampaignConfig { grid: CampaignGrid::smoke(), reps: 1, ..CampaignConfig::full() }
     }
 }
 
@@ -82,9 +85,9 @@ pub struct CellReport {
     pub quotient_nodes: u64,
     /// Warm-pass outputs were byte-identical to cold-pass outputs.
     pub byte_identical: bool,
-    /// Cold-pass assignment hits (informational: can race at `threads > 1`).
+    /// Cold-pass assignment hits — deterministic, exact-match material.
     pub cold_hits: u64,
-    /// Cold-pass assignment misses (informational).
+    /// Cold-pass assignment misses: one per fresh quotient.
     pub cold_misses: u64,
     /// Warm-pass assignment hits — deterministic, exact-match material.
     pub warm_hits: u64,
@@ -290,7 +293,6 @@ fn run_cell(
     // 4. Bytes/messages probe: one seeded end-to-end pipeline run of the
     // first case, bridged through the obs engine counters.
     let mem = Arc::new(MemoryRecorder::new());
-    let shared: SharedRecorder = Arc::<MemoryRecorder>::clone(&mem);
     let net = instances
         .first()
         .map(|g| g.graph().with_labels(vec![(); g.node_count()]))
@@ -300,7 +302,7 @@ fn run_cell(
             replay: replay.clone(),
             detail: "cell built no instances".into(),
         })?;
-    run_pipeline_observed(&alg, &net, first.seed, strategy, &config, None, &shared)?;
+    Derandomizer::new(alg).with_recorder(mem.clone()).pipeline(&net, first.seed)?;
     let probe = mem.snapshot();
 
     // 5. `A_*` update-graph probe, only where the engine is feasible
@@ -311,8 +313,9 @@ fn run_cell(
         (run.quotient_nodes <= 3 && instances[i].node_count() <= 6).then_some(i)
     });
     if let Some(i) = astar_target {
-        let astar_mem = MemoryRecorder::new();
-        run_astar_observed(&alg, &MisProblem, &instances[i], &AStarConfig::default(), &astar_mem)?;
+        let astar_mem = Arc::new(MemoryRecorder::new());
+        let astar_cfg = AStarConfig { recorder: astar_mem.clone(), ..Default::default() };
+        run_astar(&alg, &MisProblem, &instances[i], &astar_cfg)?;
         update_graph = astar_mem.snapshot().span_total(names::SPAN_UPDATE_GRAPH).total;
     }
 
@@ -342,7 +345,7 @@ fn run_cell(
 }
 
 /// Runs a whole campaign, emitting `soak.*` metrics and a causal span
-/// tree to `recorder`.
+/// tree to `cfg.recorder`.
 ///
 /// The persistent cache lives in a throwaway directory for the duration
 /// of the campaign, so disk-tier behavior is exercised without coupling
@@ -358,10 +361,8 @@ fn run_cell(
 /// Oracle *violations* are not errors — they land in
 /// [`SoakReport::failures`] with replay strings, and the sentinel turns
 /// them into a failing check.
-pub fn run_campaign_observed(
-    cfg: &CampaignConfig,
-    recorder: &SharedRecorder,
-) -> Result<SoakReport> {
+pub fn run_campaign(cfg: &CampaignConfig) -> Result<SoakReport> {
+    let recorder = &cfg.recorder;
     let rec: &dyn Recorder = &**recorder;
     let _campaign_span = Span::new(rec, names::SPAN_SOAK_CAMPAIGN);
     let started = Instant::now();
@@ -423,15 +424,6 @@ pub fn run_campaign_observed(
     })
 }
 
-/// [`run_campaign_observed`] with metrics discarded.
-///
-/// # Errors
-///
-/// See [`run_campaign_observed`].
-pub fn run_campaign(cfg: &CampaignConfig) -> Result<SoakReport> {
-    run_campaign_observed(cfg, &anonet_obs::noop())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,8 +441,7 @@ mod tests {
     #[test]
     fn campaign_trace_is_one_causal_tree() {
         let mem = Arc::new(MemoryRecorder::new());
-        let shared: SharedRecorder = Arc::<MemoryRecorder>::clone(&mem);
-        run_campaign_observed(&CampaignConfig::smoke(), &shared).unwrap();
+        run_campaign(&CampaignConfig { recorder: mem.clone(), ..CampaignConfig::smoke() }).unwrap();
         let snap = mem.snapshot();
         assert_eq!(snap.span(names::SPAN_SOAK_CAMPAIGN).unwrap().count, 1);
         assert_eq!(snap.span("soak_campaign/soak_cell").unwrap().count, 3);

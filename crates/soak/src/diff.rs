@@ -4,12 +4,13 @@
 //! Two kinds of comparison, matching the two kinds of cell field:
 //!
 //! * **Exact invariants** — `cases`, `quotient_nodes`, `byte_identical`,
-//!   `warm_hits`, `warm_misses`, `messages`, `message_bytes`. These are
-//!   pure functions of the campaign config (the warm pass answers every
-//!   job from cache at any thread count), so any difference is a real
-//!   behavior change, not noise, and fails the check outright. The cold
-//!   hit/miss split is deliberately *not* gated: concurrent cold misses
-//!   of one fresh quotient race benignly at `threads > 1`.
+//!   `cold_hits`, `cold_misses`, `warm_hits`, `warm_misses`, `disk_hits`,
+//!   `messages`, `message_bytes`. These are pure functions of the
+//!   campaign config at any thread count: cache lookups are single-flight,
+//!   so a fresh quotient costs exactly one cold miss however many workers
+//!   ask for it together, and the warm pass answers every job from cache.
+//!   Any difference is a real behavior change, not noise, and fails the
+//!   check outright.
 //! * **Timing** — absolute walls are machine-dependent, so the sentinel
 //!   compares each cell's *share* of the campaign's total cell wall,
 //!   which cancels machine speed. A cell whose share moved by more than
@@ -177,8 +178,11 @@ pub fn diff(current: &SoakReport, baseline: &SoakReport, band: f64) -> DiffOutco
     for (base, cur) in &common {
         exact(&mut out, cur, "cases", base.cases, cur.cases);
         exact(&mut out, cur, "quotient_nodes", base.quotient_nodes, cur.quotient_nodes);
+        exact(&mut out, cur, "cold_hits", base.cold_hits, cur.cold_hits);
+        exact(&mut out, cur, "cold_misses", base.cold_misses, cur.cold_misses);
         exact(&mut out, cur, "warm_hits", base.warm_hits, cur.warm_hits);
         exact(&mut out, cur, "warm_misses", base.warm_misses, cur.warm_misses);
+        exact(&mut out, cur, "disk_hits", base.disk_hits, cur.disk_hits);
         exact(&mut out, cur, "messages", base.messages, cur.messages);
         exact(&mut out, cur, "message_bytes", base.message_bytes, cur.message_bytes);
         if base.byte_identical != cur.byte_identical {
@@ -379,6 +383,26 @@ mod tests {
         let fields: Vec<&str> = outcome.regressions.iter().map(|r| r.field.as_str()).collect();
         assert!(fields.contains(&"warm_hits"));
         assert!(fields.contains(&"warm_misses"));
+    }
+
+    #[test]
+    fn sentinel_flags_cold_split_and_disk_hit_changes() {
+        let baseline = fixture();
+        let mut current = fixture();
+        current.cells[0].cold_hits = 0;
+        current.cells[0].cold_misses = 2;
+        current.cells[1].disk_hits = 1;
+        let outcome = diff(&current, &baseline, DEFAULT_BAND);
+        let flagged: Vec<(&str, &str)> =
+            outcome.regressions.iter().map(|r| (r.cell.as_str(), r.field.as_str())).collect();
+        assert_eq!(
+            flagged,
+            vec![
+                (baseline.cells[0].id.as_str(), "cold_hits"),
+                (baseline.cells[0].id.as_str(), "cold_misses"),
+                (baseline.cells[1].id.as_str(), "disk_hits"),
+            ]
+        );
     }
 
     #[test]

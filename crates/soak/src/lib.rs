@@ -51,9 +51,7 @@ pub mod campaign;
 pub mod diff;
 pub mod report;
 
-pub use campaign::{
-    run_campaign, run_campaign_observed, CampaignConfig, CellReport, OracleFailure, SoakReport,
-};
+pub use campaign::{run_campaign, CampaignConfig, CellReport, OracleFailure, SoakReport};
 pub use diff::{DiffOutcome, Regression, DEFAULT_BAND};
 
 /// Errors surfaced by campaigns, baselines, and the sentinel.

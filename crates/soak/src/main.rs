@@ -26,10 +26,7 @@ const DEFAULT_BASELINE: &str = "BENCH_soak.json";
 const DEFAULT_CURRENT_OUT: &str = "target/BENCH_soak_current.json";
 
 struct Options {
-    grid: CampaignGrid,
-    seed: u64,
-    reps: usize,
-    budget_secs: Option<u64>,
+    campaign: CampaignConfig,
     out: PathBuf,
     baseline: PathBuf,
     current: Option<PathBuf>,
@@ -40,27 +37,14 @@ struct Options {
 
 impl Options {
     fn defaults() -> Options {
-        let full = CampaignConfig::full();
         Options {
-            grid: full.grid,
-            seed: full.base_seed,
-            reps: full.reps,
-            budget_secs: None,
+            campaign: CampaignConfig::full(),
             out: PathBuf::from(DEFAULT_BASELINE),
             baseline: PathBuf::from(DEFAULT_BASELINE),
             current: None,
             band: diff::DEFAULT_BAND,
             bench_dir: PathBuf::from("."),
             trace: None,
-        }
-    }
-
-    fn campaign_config(&self) -> CampaignConfig {
-        CampaignConfig {
-            grid: self.grid.clone(),
-            base_seed: self.seed,
-            reps: self.reps,
-            budget: self.budget_secs.map(std::time::Duration::from_secs),
         }
     }
 }
@@ -82,16 +66,17 @@ fn parse(args: &mut std::env::Args, opts: &mut Options) -> Result<(), String> {
         match arg.as_str() {
             "--grid" => {
                 let name: String = parse_value("--grid", args.next())?;
-                opts.grid = match name.as_str() {
+                opts.campaign.grid = match name.as_str() {
                     "full" => CampaignGrid::full(),
                     "smoke" => CampaignGrid::smoke(),
                     other => return Err(format!("--grid: unknown grid `{other}`")),
                 };
             }
-            "--seed" => opts.seed = parse_value("--seed", args.next())?,
-            "--reps" => opts.reps = parse_value("--reps", args.next())?,
+            "--seed" => opts.campaign.base_seed = parse_value("--seed", args.next())?,
+            "--reps" => opts.campaign.reps = parse_value("--reps", args.next())?,
             "--budget-secs" => {
-                opts.budget_secs = Some(parse_value("--budget-secs", args.next())?);
+                let secs = parse_value("--budget-secs", args.next())?;
+                opts.campaign.budget = Some(std::time::Duration::from_secs(secs));
             }
             "--out" => opts.out = PathBuf::from(parse_value::<String>("--out", args.next())?),
             "--baseline" => {
@@ -136,13 +121,13 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, SoakError> {
             let jsonl =
                 std::sync::Arc::new(anonet_obs::JsonlRecorder::create(path).map_err(io_err)?);
             jsonl.flush_on_panic();
-            let shared: anonet_obs::SharedRecorder = jsonl.clone();
-            let run = anonet_soak::run_campaign_observed(&opts.campaign_config(), &shared)?;
+            let cfg = CampaignConfig { recorder: jsonl.clone(), ..opts.campaign.clone() };
+            let run = anonet_soak::run_campaign(&cfg)?;
             jsonl.flush().map_err(io_err)?;
             println!("trace written to {}", path.display());
             run
         }
-        None => anonet_soak::run_campaign(&opts.campaign_config())?,
+        None => anonet_soak::run_campaign(&opts.campaign)?,
     };
     baseline::save(&opts.out, &run)?;
     print!("{}", report::render_table(&run));
@@ -159,7 +144,7 @@ fn cmd_check(opts: &Options) -> Result<ExitCode, SoakError> {
     let current = match &opts.current {
         Some(path) => baseline::load(path)?,
         None => {
-            let run = anonet_soak::run_campaign(&opts.campaign_config())?;
+            let run = anonet_soak::run_campaign(&opts.campaign)?;
             baseline::save(PathBuf::from(DEFAULT_CURRENT_OUT).as_path(), &run)?;
             println!("fresh run written to {DEFAULT_CURRENT_OUT}");
             run

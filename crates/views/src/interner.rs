@@ -100,13 +100,13 @@ impl Interner {
     }
 
     /// Lifetime count of [`intern`](Interner::intern) calls that found an
-    /// existing encoding — the `views.interner.hit` obs counter.
+    /// existing encoding.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Lifetime count of [`intern`](Interner::intern) calls that inserted
-    /// a new encoding — the `views.interner.miss` obs counter.
+    /// a new encoding.
     pub fn misses(&self) -> u64 {
         self.misses
     }

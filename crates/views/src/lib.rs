@@ -64,7 +64,7 @@ mod quotient;
 mod refinement;
 mod view_tree;
 
-pub use arena::{canonical_view_encoding, thread_arena_stats, ArenaStats, ViewArena, ViewNode};
+pub use arena::{canonical_view_encoding, ArenaStats, ViewArena, ViewNode};
 pub use error::ViewError;
 pub use folded::FoldedView;
 pub use interner::{Interner, Sym};

@@ -11,7 +11,7 @@ use anonet::algorithms::mis::RandomizedMis;
 use anonet::algorithms::problems::{GreedyColoringProblem, MisProblem};
 use anonet::batch::{BatchScheduler, DerandCache};
 use anonet::core::batch::{derandomize_batch, pipeline_batch};
-use anonet::core::pipeline::{run_pipeline, run_pipeline_cached, run_pipeline_observed};
+use anonet::core::pipeline::{run_pipeline, run_pipeline_cached};
 use anonet::core::{DerandomizedRun, Derandomizer, SearchStrategy};
 use anonet::graph::{generators, Label, LabeledGraph};
 use anonet::obs::{bridge, noop, NoopRecorder};
@@ -257,21 +257,17 @@ fn noop_observation_is_byte_identical_across_layers() {
         );
     }
 
-    // Layer 3 — the full Theorem-1 pipeline entry points.
+    // Layer 3 — the full Theorem-1 pipeline: the positional shim against
+    // the builder with an explicit noop recorder.
     let net = generators::petersen().with_uniform_label(());
+    let observed_pipeline = Derandomizer::new(RandomizedMis::new())
+        .with_strategy(strategy)
+        .with_config(config)
+        .with_recorder(noop());
     for seed in 0..3u64 {
         let plain = run_pipeline_cached(&RandomizedMis::new(), &net, seed, strategy, &config, None)
             .unwrap();
-        let observed = run_pipeline_observed(
-            &RandomizedMis::new(),
-            &net,
-            seed,
-            strategy,
-            &config,
-            None,
-            &noop(),
-        )
-        .unwrap();
+        let observed = observed_pipeline.pipeline(&net, seed).unwrap();
         assert_eq!(plain.outputs, observed.outputs);
         assert_eq!(plain.coloring, observed.coloring);
         assert_eq!(plain.random_bits, observed.random_bits);

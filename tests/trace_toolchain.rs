@@ -7,17 +7,16 @@
 
 use std::sync::Arc;
 
-use anonet::obs::{Json, JsonlRecorder, SharedRecorder};
-use anonet::soak::{run_campaign_observed, CampaignConfig};
+use anonet::obs::{Json, JsonlRecorder};
+use anonet::soak::{run_campaign, CampaignConfig};
 use anonet::trace::{critical, diff, flame, perfetto, Trace};
 
 fn traced_smoke_campaign() -> Trace {
     let (jsonl, buf) = JsonlRecorder::buffered();
-    let jsonl = Arc::new(jsonl);
-    let shared: SharedRecorder = jsonl.clone();
-    run_campaign_observed(&CampaignConfig::smoke(), &shared).expect("smoke campaign runs");
-    drop(shared);
-    drop(jsonl); // drop flushes the writer
+    // The config, and with it the recorder, drops at the end of the
+    // statement, which flushes the writer.
+    run_campaign(&CampaignConfig { recorder: Arc::new(jsonl), ..CampaignConfig::smoke() })
+        .expect("smoke campaign runs");
     Trace::parse(&buf.contents()).expect("trace parses")
 }
 
