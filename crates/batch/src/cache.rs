@@ -7,40 +7,33 @@
 //! graphs produce the *same* key, and therefore share entries. By Lemma 3
 //! that covers every pair of lifts of a common base.
 //!
-//! Two tables:
+//! One table, keyed by `(problem-id, s(G_*))`: the minimal successful
+//! [`BitAssignment`] of the canonical simulation, with tapes stored **by
+//! canonical position** (index `p` holds the tape of the `p`-th node in
+//! the canonical order on `V_*`) so they transfer to any isomorphic
+//! presentation of the quotient, plus the attempt count and simulation
+//! length needed to reproduce the full derandomizer metadata on a hit.
+//! Entries are never evicted: each one replaces a whole canonical search.
 //!
-//! * **quotient entries**, keyed by `s(G_*)`: the content-addressed record
-//!   of a derandomized core. The key bytes *are* the serialized `G_*`
-//!   (node count, labels, adjacency under the canonical order), so holding
-//!   the key holds the graph and its canonical total order; the entry adds
-//!   the refinement-partition shape observed at insertion (`|V_*|`, fiber
-//!   multiplicity) and hit/byte accounting.
-//! * **assignment entries**, keyed by `(problem-id, s(G_*))`: the minimal
-//!   successful [`BitAssignment`] of the canonical simulation, with tapes
-//!   stored **by canonical position** (index `p` holds the tape of the
-//!   `p`-th node in the canonical order on `V_*`) so they transfer to any
-//!   isomorphic presentation of the quotient, plus the attempt count and
-//!   simulation length needed to reproduce the full derandomizer metadata
-//!   on a hit.
-//!
-//! The store is a [`Mutex`]-guarded pair of hash maps. Lock poisoning is
+//! The table is a [`Mutex`]-guarded hash map. Lock poisoning is
 //! deliberately ignored (`into_inner` on poison): a panicking job in a
 //! batch must not take the cache down with it, and every value is updated
 //! atomically under the lock, so a poisoned state is still consistent.
 //!
 //! Optionally, a [`CacheBackend`] (see [`crate::persist`]) sits beneath
-//! the tables as a durable second tier: memory misses fall through to it
+//! the table as a durable second tier: memory misses fall through to it
 //! (outside the lock), disk hits are promoted into memory, and fresh
 //! inserts write through. Backend failures never fail a lookup — they
 //! count as [`CacheStats::disk_errors`] and the cache runs memory-only.
 //!
-//! Assignment lookups are **single-flight** ([`DerandCache::lookup_or_claim`]):
+//! Lookups are **single-flight** ([`DerandCache::lookup_or_claim`]):
 //! the first lookup of a `(problem, s(G_*))` key that finds nothing in
 //! memory claims the key, and later lookups of it wait until the claim is
 //! published or dropped. So every distinct key is looked up on disk and
 //! searched once, and the hit/miss counters come out exactly as in a
 //! sequential run, at any thread count and in any schedule.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -94,41 +87,36 @@ fn assignment_bytes(problem: &str, key: &[u8], cached: &CachedAssignment) -> usi
         + cached.tapes.iter().map(|tape| tape.len().div_ceil(8)).sum::<usize>()
 }
 
-#[derive(Debug)]
-struct QuotientEntry {
-    nodes: usize,
-    multiplicity: usize,
-    bytes: usize,
-    hits: u64,
-    last_use: u64,
-}
-
-#[derive(Debug)]
-struct AssignmentEntry {
-    cached: CachedAssignment,
-    bytes: usize,
-    hits: u64,
-    last_use: u64,
-}
-
 #[derive(Debug, Default)]
 struct Tables {
-    quotients: HashMap<Vec<u8>, QuotientEntry>,
-    assignments: HashMap<(String, Vec<u8>), AssignmentEntry>,
+    assignments: HashMap<(String, Vec<u8>), CachedAssignment>,
+    /// [`assignment_bytes`] summed over `assignments`.
+    bytes: usize,
     /// Assignment keys claimed by a lookup that is still searching.
     in_flight: HashSet<(String, Vec<u8>)>,
     /// Lookups that waited for a claimed key (schedule-dependent, so not
     /// part of [`CacheStats`]).
     coalesced: u64,
-    quotient_hits: u64,
-    quotient_misses: u64,
     assignment_hits: u64,
     assignment_misses: u64,
-    evictions: u64,
     disk_hits: u64,
     disk_misses: u64,
     disk_errors: u64,
-    clock: u64,
+}
+
+impl Tables {
+    /// Stores `cached` under `key` unless an entry is already resident
+    /// (first write wins); returns `true` if it stored it.
+    fn insert(&mut self, key: (String, Vec<u8>), cached: CachedAssignment) -> bool {
+        match self.assignments.entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                self.bytes += assignment_bytes(&slot.key().0, &slot.key().1, &cached);
+                slot.insert(cached);
+                true
+            }
+        }
+    }
 }
 
 /// The answer of [`DerandCache::lookup_or_claim`].
@@ -170,20 +158,12 @@ impl Drop for Claim<'_> {
 /// A point-in-time snapshot of cache accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Distinct quotients recorded.
-    pub quotient_entries: usize,
     /// Distinct `(problem, quotient)` assignments stored.
     pub assignment_entries: usize,
-    /// Quotient-table hits (an already-known `s(G_*)` was recorded again).
-    pub quotient_hits: u64,
-    /// Quotient-table misses (a new `s(G_*)` was recorded).
-    pub quotient_misses: u64,
     /// Assignment lookups that found an entry.
     pub assignment_hits: u64,
     /// Assignment lookups that found nothing.
     pub assignment_misses: u64,
-    /// Entries dropped to respect the capacity bound.
-    pub evictions: u64,
     /// Approximate resident payload size in bytes (keys + tapes).
     pub bytes: usize,
     /// Assignment lookups answered by the persistent tier (each also
@@ -209,7 +189,7 @@ impl CacheStats {
     }
 
     /// The accounting for a window that started at snapshot `before`:
-    /// cumulative counters (hits, misses, evictions) are differenced,
+    /// cumulative counters (hits, misses, disk counters) are differenced,
     /// resident state (entries, bytes) keeps this snapshot's values.
     ///
     /// # Errors
@@ -227,15 +207,8 @@ impl CacheStats {
             after.checked_sub(before).ok_or(CounterRegression { counter, before, after })
         }
         Ok(CacheStats {
-            quotient_entries: self.quotient_entries,
             assignment_entries: self.assignment_entries,
             bytes: self.bytes,
-            quotient_hits: window("quotient_hits", self.quotient_hits, before.quotient_hits)?,
-            quotient_misses: window(
-                "quotient_misses",
-                self.quotient_misses,
-                before.quotient_misses,
-            )?,
             assignment_hits: window(
                 "assignment_hits",
                 self.assignment_hits,
@@ -246,7 +219,6 @@ impl CacheStats {
                 self.assignment_misses,
                 before.assignment_misses,
             )?,
-            evictions: window("evictions", self.evictions, before.evictions)?,
             disk_hits: window("disk_hits", self.disk_hits, before.disk_hits)?,
             disk_misses: window("disk_misses", self.disk_misses, before.disk_misses)?,
             disk_errors: window("disk_errors", self.disk_errors, before.disk_errors)?,
@@ -267,18 +239,13 @@ impl CacheStats {
             String::new()
         };
         format!(
-            "cache: {} quotient(s), {} assignment(s), {} B; \
-             assignment hits {} / misses {} (hit rate {:.1}%), \
-             quotient hits {} / misses {}, {} eviction(s){disk}",
-            self.quotient_entries,
+            "cache: {} assignment(s), {} B; \
+             hits {} / misses {} (hit rate {:.1}%){disk}",
             self.assignment_entries,
             self.bytes,
             self.assignment_hits,
             self.assignment_misses,
             100.0 * self.hit_rate(),
-            self.quotient_hits,
-            self.quotient_misses,
-            self.evictions,
         )
     }
 }
@@ -317,7 +284,7 @@ impl std::error::Error for CounterRegression {}
 /// # Example
 ///
 /// ```
-/// use anonet_batch::DerandCache;
+/// use anonet_batch::{CachedAssignment, DerandCache};
 /// use anonet_graph::generators;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -326,11 +293,15 @@ impl std::error::Error for CounterRegression {}
 /// let c3 = generators::cycle(3)?.with_labels(vec![1u32, 2, 3])?;
 /// let c12 = generators::cycle(12)?
 ///     .with_labels(vec![1u32, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3])?;
-/// assert_eq!(anonet_batch::instance_key(&c3)?, anonet_batch::instance_key(&c12)?);
-/// cache.record_quotient(&anonet_batch::instance_key(&c3)?, 3, 1);
-/// cache.record_quotient(&anonet_batch::instance_key(&c12)?, 3, 4);
-/// assert_eq!(cache.stats().quotient_entries, 1);
-/// assert_eq!(cache.stats().quotient_hits, 1);
+/// let key = anonet_batch::instance_key(&c3)?;
+/// assert_eq!(key, anonet_batch::instance_key(&c12)?);
+/// let tapes = vec!["1".parse().unwrap(), "0".parse().unwrap(), "0".parse().unwrap()];
+/// let cached = CachedAssignment { tapes, attempts: 1, simulation_rounds: 2 };
+/// cache.insert_assignment("mis", &key, cached.clone());
+/// // The C12 lift is answered by the C3 entry.
+/// let c12_key = anonet_batch::instance_key(&c12)?;
+/// assert_eq!(cache.lookup_assignment("mis", &c12_key), Some(cached));
+/// assert_eq!(cache.stats().assignment_hits, 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -339,78 +310,27 @@ pub struct DerandCache {
     tables: Mutex<Tables>,
     /// Signalled whenever a claimed key is released.
     released: Condvar,
-    max_entries: Option<usize>,
     backend: Option<Arc<dyn CacheBackend>>,
 }
 
 impl DerandCache {
-    /// An unbounded cache.
+    /// An empty memory-only cache.
     pub fn new() -> Self {
         DerandCache::default()
     }
 
-    /// A cache evicting least-recently-used entries beyond `max_entries`
-    /// (counted across both tables).
-    pub fn with_capacity(max_entries: usize) -> Self {
-        DerandCache { max_entries: Some(max_entries), ..DerandCache::default() }
-    }
-
-    /// Layers a durable [`CacheBackend`] beneath the memory tables (see
+    /// Layers a durable [`CacheBackend`] beneath the memory table (see
     /// [`crate::PersistentDerandCache`] for the batteries-included
-    /// bundle). Capacity eviction only drops the memory copy — the disk
-    /// tier keeps evicted entries.
+    /// bundle).
     pub fn with_backend(mut self, backend: Arc<dyn CacheBackend>) -> Self {
         self.backend = Some(backend);
         self
-    }
-
-    /// `true` if a persistent tier is attached.
-    pub fn has_backend(&self) -> bool {
-        self.backend.is_some()
     }
 
     fn lock(&self) -> MutexGuard<'_, Tables> {
         // A job that panicked mid-batch must not poison the whole cache;
         // all updates are atomic under the lock, so the state is sound.
         self.tables.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Records that a quotient with address `key` (holding `nodes` quotient
-    /// nodes, observed at fiber multiplicity `multiplicity`) was seen.
-    /// Returns `true` if this was the first sighting.
-    ///
-    /// With a backend attached, first sightings and multiplicity
-    /// increases write through (outside the lock; latest write wins on
-    /// disk, so the stored multiplicity is the running maximum).
-    pub fn record_quotient(&self, key: &[u8], nodes: usize, multiplicity: usize) -> bool {
-        let (first, write_multiplicity) = {
-            let mut t = self.lock();
-            t.clock += 1;
-            let now = t.clock;
-            if let Some(entry) = t.quotients.get_mut(key) {
-                entry.hits += 1;
-                entry.last_use = now;
-                let grew = multiplicity > entry.multiplicity;
-                entry.multiplicity = entry.multiplicity.max(multiplicity);
-                let max = entry.multiplicity;
-                t.quotient_hits += 1;
-                (false, grew.then_some(max))
-            } else {
-                t.quotients.insert(
-                    key.to_vec(),
-                    QuotientEntry { nodes, multiplicity, bytes: key.len(), hits: 0, last_use: now },
-                );
-                t.quotient_misses += 1;
-                self.enforce_capacity(&mut t);
-                (true, Some(multiplicity))
-            }
-        };
-        if let (Some(m), Some(backend)) = (write_multiplicity, &self.backend) {
-            if backend.record_quotient(key, nodes, m).is_err() {
-                self.lock().disk_errors += 1;
-            }
-        }
-        first
     }
 
     /// Looks up the canonical simulation for `problem` on the quotient
@@ -441,12 +361,8 @@ impl DerandCache {
         let mut t = self.lock();
         let mut waited = false;
         loop {
-            t.clock += 1;
-            let now = t.clock;
-            if let Some(entry) = t.assignments.get_mut(&k) {
-                entry.hits += 1;
-                entry.last_use = now;
-                let cached = entry.cached.clone();
+            if let Some(cached) = t.assignments.get(&k) {
+                let cached = cached.clone();
                 t.assignment_hits += 1;
                 t.coalesced += u64::from(waited);
                 return Lookup::Hit(cached);
@@ -467,19 +383,10 @@ impl DerandCache {
         match backend.load_assignment(problem, key) {
             Ok(Some(cached)) => {
                 let mut t = self.lock();
-                t.clock += 1;
-                let now = t.clock;
                 t.assignment_hits += 1;
                 t.disk_hits += 1;
-                let bytes = assignment_bytes(problem, key, &cached);
-                // or_insert: a plain insert_assignment may have won.
-                t.assignments.entry(claim.key.clone()).or_insert(AssignmentEntry {
-                    cached: cached.clone(),
-                    bytes,
-                    hits: 0,
-                    last_use: now,
-                });
-                self.enforce_capacity(&mut t);
+                // A plain insert_assignment may have won; first write wins.
+                t.insert(claim.key.clone(), cached.clone());
                 drop(t);
                 drop(claim);
                 Lookup::Hit(cached)
@@ -509,23 +416,10 @@ impl DerandCache {
     /// Stores the canonical simulation for `problem` on the quotient
     /// addressed by `key`. Tapes must be in canonical-position order. First
     /// write wins: concurrent inserts of the same key keep the existing
-    /// entry (both compute the same canonical object, so this only
-    /// stabilizes the per-entry hit counters). A fresh insert writes
-    /// through to the backend, if one is attached.
+    /// entry (both compute the same canonical object). A fresh insert
+    /// writes through to the backend, if one is attached.
     pub fn insert_assignment(&self, problem: &str, key: &[u8], cached: CachedAssignment) {
-        let bytes = assignment_bytes(problem, key, &cached);
-        let fresh = {
-            let mut t = self.lock();
-            t.clock += 1;
-            let now = t.clock;
-            let mut fresh = false;
-            t.assignments.entry((problem.to_string(), key.to_vec())).or_insert_with(|| {
-                fresh = true;
-                AssignmentEntry { cached: cached.clone(), bytes, hits: 0, last_use: now }
-            });
-            self.enforce_capacity(&mut t);
-            fresh
-        };
+        let fresh = self.lock().insert((problem.to_string(), key.to_vec()), cached.clone());
         if fresh {
             if let Some(backend) = &self.backend {
                 if backend.store_assignment(problem, key, &cached).is_err() {
@@ -536,7 +430,7 @@ impl DerandCache {
     }
 
     /// Preloads up to `limit` entries from the backend into the memory
-    /// tables (no-op without a backend). Hit/miss counters are untouched;
+    /// table (no-op without a backend). Hit/miss counters are untouched;
     /// already-resident entries keep their memory copy. Returns the
     /// number of entries loaded.
     ///
@@ -549,27 +443,9 @@ impl DerandCache {
         let entries = backend.warm(limit)?;
         let mut t = self.lock();
         let mut loaded = 0;
-        for entry in entries {
-            t.clock += 1;
-            let now = t.clock;
-            match entry {
-                WarmEntry::Quotient { key, nodes, multiplicity } => {
-                    let bytes = key.len();
-                    t.quotients.entry(key).or_insert_with(|| {
-                        loaded += 1;
-                        QuotientEntry { nodes, multiplicity, bytes, hits: 0, last_use: now }
-                    });
-                }
-                WarmEntry::Assignment { problem, key, cached } => {
-                    let bytes = assignment_bytes(&problem, &key, &cached);
-                    t.assignments.entry((problem, key)).or_insert_with(|| {
-                        loaded += 1;
-                        AssignmentEntry { cached, bytes, hits: 0, last_use: now }
-                    });
-                }
-            }
+        for WarmEntry { problem, key, cached } in entries {
+            loaded += usize::from(t.insert((problem, key), cached));
         }
-        self.enforce_capacity(&mut t);
         Ok(loaded)
     }
 
@@ -585,17 +461,9 @@ impl DerandCache {
         }
     }
 
-    /// Drops everything, keeping cumulative hit/miss counters.
-    pub fn clear(&self) {
-        let mut t = self.lock();
-        t.quotients.clear();
-        t.assignments.clear();
-    }
-
-    /// Total entries across both tables.
+    /// Resident entries.
     pub fn len(&self) -> usize {
-        let t = self.lock();
-        t.quotients.len() + t.assignments.len()
+        self.lock().assignments.len()
     }
 
     /// `true` if no entries are resident.
@@ -607,69 +475,13 @@ impl DerandCache {
     pub fn stats(&self) -> CacheStats {
         let t = self.lock();
         CacheStats {
-            quotient_entries: t.quotients.len(),
             assignment_entries: t.assignments.len(),
-            quotient_hits: t.quotient_hits,
-            quotient_misses: t.quotient_misses,
             assignment_hits: t.assignment_hits,
             assignment_misses: t.assignment_misses,
-            evictions: t.evictions,
             disk_hits: t.disk_hits,
             disk_misses: t.disk_misses,
             disk_errors: t.disk_errors,
-            bytes: t.quotients.values().map(|e| e.bytes).sum::<usize>()
-                + t.assignments.values().map(|e| e.bytes).sum::<usize>(),
-        }
-    }
-
-    /// Per-entry accounting for the quotient table: `(s(G_*) key, |V_*|,
-    /// max observed multiplicity, hits, bytes)`, sorted by key for
-    /// deterministic output.
-    pub fn quotient_accounting(&self) -> Vec<(Vec<u8>, usize, usize, u64, usize)> {
-        let t = self.lock();
-        let mut rows: Vec<_> = t
-            .quotients
-            .iter()
-            .map(|(k, e)| (k.clone(), e.nodes, e.multiplicity, e.hits, e.bytes))
-            .collect();
-        rows.sort();
-        rows
-    }
-
-    /// Per-entry accounting for the assignment table: `(problem, s(G_*)
-    /// key, hits, bytes)`, sorted for deterministic output.
-    pub fn assignment_accounting(&self) -> Vec<(String, Vec<u8>, u64, usize)> {
-        let t = self.lock();
-        let mut rows: Vec<_> = t
-            .assignments
-            .iter()
-            .map(|((p, k), e)| (p.clone(), k.clone(), e.hits, e.bytes))
-            .collect();
-        rows.sort();
-        rows
-    }
-
-    fn enforce_capacity(&self, t: &mut Tables) {
-        let Some(max) = self.max_entries else { return };
-        while t.quotients.len() + t.assignments.len() > max {
-            let oldest_q = t.quotients.iter().min_by_key(|(_, e)| e.last_use);
-            let oldest_a = t.assignments.iter().min_by_key(|(_, e)| e.last_use);
-            match (oldest_q, oldest_a) {
-                (Some((qk, qe)), Some((_, ae))) if qe.last_use <= ae.last_use => {
-                    let qk = qk.clone();
-                    t.quotients.remove(&qk);
-                }
-                (_, Some((ak, _))) => {
-                    let ak = ak.clone();
-                    t.assignments.remove(&ak);
-                }
-                (Some((qk, _)), None) => {
-                    let qk = qk.clone();
-                    t.quotients.remove(&qk);
-                }
-                (None, None) => return,
-            }
-            t.evictions += 1;
+            bytes: t.bytes,
         }
     }
 }
@@ -724,27 +536,7 @@ mod tests {
         assert_eq!(s.assignment_misses, 2);
         assert!(s.bytes > key.len());
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        let rows = cache.assignment_accounting();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, "mis");
-        assert_eq!(rows[0].2, 1); // one per-entry hit
-    }
-
-    #[test]
-    fn quotient_recording_deduplicates() {
-        let cache = DerandCache::new();
-        let k3 = instance_key(&colored_cycle(3)).unwrap();
-        assert!(cache.record_quotient(&k3, 3, 1));
-        assert!(!cache.record_quotient(&k3, 3, 4));
-        assert!(!cache.record_quotient(&k3, 3, 2));
-        let s = cache.stats();
-        assert_eq!(s.quotient_entries, 1);
-        assert_eq!(s.quotient_hits, 2);
-        assert_eq!(s.quotient_misses, 1);
-        let rows = cache.quotient_accounting();
-        assert_eq!(rows[0].1, 3); // |V_*|
-        assert_eq!(rows[0].2, 4); // max multiplicity observed
-        assert_eq!(rows[0].3, 2); // hits
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -759,44 +551,16 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_lru() {
-        let cache = DerandCache::with_capacity(2);
-        let a = CachedAssignment { tapes: vec![tape("1")], attempts: 1, simulation_rounds: 1 };
-        cache.insert_assignment("p", b"k1", a.clone());
-        cache.insert_assignment("p", b"k2", a.clone());
-        // Touch k1 so k2 is the LRU entry.
-        assert!(cache.lookup_assignment("p", b"k1").is_some());
-        cache.insert_assignment("p", b"k3", a.clone());
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.lookup_assignment("p", b"k2").is_none());
-        assert!(cache.lookup_assignment("p", b"k1").is_some());
-        assert!(cache.lookup_assignment("p", b"k3").is_some());
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let cache = DerandCache::new();
-        let a = CachedAssignment { tapes: vec![tape("1")], attempts: 1, simulation_rounds: 1 };
-        cache.insert_assignment("p", b"k", a);
-        assert!(cache.lookup_assignment("p", b"k").is_some());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().assignment_hits, 1);
-    }
-
-    #[test]
     fn concurrent_use_is_consistent() {
         use std::sync::Arc;
         let cache = Arc::new(DerandCache::new());
         let key = instance_key(&colored_cycle(12)).unwrap();
         std::thread::scope(|scope| {
-            for t in 0..8 {
+            for _ in 0..8 {
                 let cache = Arc::clone(&cache);
                 let key = key.clone();
                 scope.spawn(move || {
                     for i in 0..50 {
-                        cache.record_quotient(&key, 3, t + 1);
                         if cache.lookup_assignment("mis", &key).is_none() {
                             cache.insert_assignment(
                                 "mis",
@@ -813,9 +577,8 @@ mod tests {
             }
         });
         let s = cache.stats();
-        assert_eq!(s.quotient_entries, 1);
         assert_eq!(s.assignment_entries, 1);
-        assert_eq!(s.quotient_hits + s.quotient_misses, 400);
+        assert_eq!(s.assignment_hits + s.assignment_misses, 400);
         // Whoever inserted first won; the entry is internally consistent.
         let got = cache.lookup_assignment("mis", &key).unwrap();
         assert_eq!(got.tapes.len(), 3);
@@ -897,9 +660,6 @@ mod tests {
         ) -> Result<(), StoreError> {
             Ok(())
         }
-        fn record_quotient(&self, _: &[u8], _: usize, _: usize) -> Result<(), StoreError> {
-            Ok(())
-        }
         fn warm(&self, _: usize) -> Result<Vec<WarmEntry>, StoreError> {
             Ok(Vec::new())
         }
@@ -941,6 +701,6 @@ mod tests {
         let zero = after.delta_from(&after).unwrap();
         assert_eq!(zero.assignment_hits, 0);
         assert_eq!(zero.assignment_misses, 0);
-        assert_eq!(zero.evictions, 0);
+        assert_eq!(zero.disk_hits, 0);
     }
 }

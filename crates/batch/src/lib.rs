@@ -9,10 +9,10 @@
 //!
 //! Three cooperating parts:
 //!
-//! * [`DerandCache`] — a thread-safe, content-addressed store keyed by the
-//!   canonical byte encoding `s(G_*)` of the quotient (and, for assignment
-//!   entries, by `(problem-id, s(G_*))`). A cache hit replaces the whole
-//!   canonical-assignment search with a single tape replay.
+//! * [`DerandCache`] — a thread-safe, content-addressed store of canonical
+//!   assignments keyed by `(problem-id, s(G_*))`, where `s(G_*)` is the
+//!   canonical byte encoding of the quotient. A cache hit replaces the
+//!   whole canonical-assignment search with a single tape replay.
 //! * [`PersistentDerandCache`] — the same cache layered over the
 //!   crash-safe on-disk tier from `anonet-store` via the [`CacheBackend`]
 //!   trait: memory misses fall through to disk, fresh results write

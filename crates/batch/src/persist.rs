@@ -15,52 +15,34 @@
 //! memory-only — persistence must never turn a working pipeline into a
 //! failing one.
 //!
-//! On-disk layout (two namespaces in one store):
-//!
-//! * namespace 0 — quotient records: key `s(G_*)`, value
-//!   `nodes:u64le multiplicity:u64le`.
-//! * namespace 1 — assignment records: key
-//!   `s(G_*) problem_bytes qkey_len:u32le` (self-delimiting from the
-//!   end; the first byte stays the quotient's, so both namespaces of one
-//!   quotient share a shard), value = the serialized
-//!   [`CachedAssignment`].
+//! On-disk layout: assignment records in store namespace 1, key
+//! `s(G_*) problem_bytes qkey_len:u32le` (self-delimiting from the end;
+//! the first byte stays the quotient's, so the key shards by quotient),
+//! value = the serialized [`CachedAssignment`]. Stores written by older
+//! versions may also hold namespace-0 quotient records; nothing reads
+//! them, so they cost disk space and nothing else.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use anonet_graph::BitString;
-use anonet_obs::Json;
 use anonet_store::{Store, StoreConfig, StoreError, StoreStats};
 
 use crate::cache::{CacheStats, CachedAssignment, DerandCache};
-use crate::scheduler::BatchScheduler;
 
-/// Store namespace for quotient records.
-const NS_QUOTIENT: u8 = 0;
 /// Store namespace for assignment records.
 const NS_ASSIGNMENT: u8 = 1;
 
-/// One entry streamed out of a backend by [`CacheBackend::warm`].
+/// One cached canonical simulation for `(problem, s(G_*))`, streamed out
+/// of a backend by [`CacheBackend::warm`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WarmEntry {
-    /// A quotient sighting: `(s(G_*), |V_*|, max multiplicity)`.
-    Quotient {
-        /// The canonical quotient encoding.
-        key: Vec<u8>,
-        /// Quotient node count.
-        nodes: usize,
-        /// Maximum fiber multiplicity observed.
-        multiplicity: usize,
-    },
-    /// A cached canonical simulation for `(problem, s(G_*))`.
-    Assignment {
-        /// The derandomizer problem id.
-        problem: String,
-        /// The canonical quotient encoding.
-        key: Vec<u8>,
-        /// The replayable simulation.
-        cached: CachedAssignment,
-    },
+pub struct WarmEntry {
+    /// The derandomizer problem id.
+    pub problem: String,
+    /// The canonical quotient encoding.
+    pub key: Vec<u8>,
+    /// The replayable simulation.
+    pub cached: CachedAssignment,
 }
 
 /// A durable tier under [`DerandCache`]. Implementations must be safe to
@@ -91,20 +73,7 @@ pub trait CacheBackend: std::fmt::Debug + Send + Sync {
         cached: &CachedAssignment,
     ) -> Result<(), StoreError>;
 
-    /// Durably records a quotient sighting (latest write wins, so callers
-    /// pass the running maximum multiplicity).
-    ///
-    /// # Errors
-    ///
-    /// Backend I/O.
-    fn record_quotient(
-        &self,
-        key: &[u8],
-        nodes: usize,
-        multiplicity: usize,
-    ) -> Result<(), StoreError>;
-
-    /// Streams up to `limit` entries (hottest first) for preloading a
+    /// Streams up to `limit` entries (in key order) for preloading a
     /// fresh process's memory tier.
     ///
     /// # Errors
@@ -217,23 +186,6 @@ fn split_assignment_disk_key(key: &[u8]) -> Result<(String, Vec<u8>), StoreError
     Ok((problem, body[..qlen].to_vec()))
 }
 
-fn encode_quotient(nodes: usize, multiplicity: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    push_u64(&mut out, nodes as u64);
-    push_u64(&mut out, multiplicity as u64);
-    out
-}
-
-fn decode_quotient(bytes: &[u8]) -> Result<(usize, usize), StoreError> {
-    let mut at = 0;
-    let nodes = read_u64(bytes, &mut at)? as usize;
-    let multiplicity = read_u64(bytes, &mut at)? as usize;
-    if at != bytes.len() {
-        return Err(StoreError::codec("quotient value has trailing bytes"));
-    }
-    Ok((nodes, multiplicity))
-}
-
 // ---------------------------------------------------------------------
 
 /// [`CacheBackend`] over an [`anonet_store::Store`].
@@ -246,11 +198,6 @@ impl StoreBackend {
     /// Wraps an open store.
     pub fn new(store: Store) -> Self {
         StoreBackend { store }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Store {
-        &self.store
     }
 }
 
@@ -279,28 +226,11 @@ impl CacheBackend for StoreBackend {
         )
     }
 
-    fn record_quotient(
-        &self,
-        key: &[u8],
-        nodes: usize,
-        multiplicity: usize,
-    ) -> Result<(), StoreError> {
-        self.store.put(NS_QUOTIENT, key, &encode_quotient(nodes, multiplicity))
-    }
-
     fn warm(&self, limit: usize) -> Result<Vec<WarmEntry>, StoreError> {
         let mut out = Vec::new();
         for (key, value) in self.store.warm_scan(NS_ASSIGNMENT, limit)? {
             let (problem, qkey) = split_assignment_disk_key(&key)?;
-            out.push(WarmEntry::Assignment {
-                problem,
-                key: qkey,
-                cached: decode_assignment(&value)?,
-            });
-        }
-        for (key, value) in self.store.warm_scan(NS_QUOTIENT, limit)? {
-            let (nodes, multiplicity) = decode_quotient(&value)?;
-            out.push(WarmEntry::Quotient { key, nodes, multiplicity });
+            out.push(WarmEntry { problem, key: qkey, cached: decode_assignment(&value)? });
         }
         Ok(out)
     }
@@ -348,40 +278,30 @@ pub struct PersistentDerandCache {
 
 impl PersistentDerandCache {
     /// Opens (or creates) the store at `dir` with default config and
-    /// layers an unbounded memory cache over it.
+    /// layers a memory cache over it.
     ///
     /// # Errors
     ///
     /// Store open/recovery errors.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_with(StoreConfig::new(dir.as_ref()), None)
+        Self::open_with(StoreConfig::new(dir.as_ref()))
     }
 
-    /// Opens with an explicit [`StoreConfig`] and an optional memory-tier
-    /// entry capacity (the disk tier keeps evicted entries).
+    /// Opens with an explicit [`StoreConfig`].
     ///
     /// # Errors
     ///
     /// Store open/recovery errors.
-    pub fn open_with(cfg: StoreConfig, max_entries: Option<usize>) -> Result<Self, StoreError> {
+    pub fn open_with(cfg: StoreConfig) -> Result<Self, StoreError> {
         let backend = Arc::new(StoreBackend::new(Store::open(cfg)?));
-        let cache = match max_entries {
-            Some(max) => DerandCache::with_capacity(max),
-            None => DerandCache::new(),
-        };
-        let cache = Arc::new(cache.with_backend(Arc::clone(&backend) as Arc<dyn CacheBackend>));
-        Ok(PersistentDerandCache { cache, backend })
+        let cache = DerandCache::new().with_backend(Arc::clone(&backend) as Arc<dyn CacheBackend>);
+        Ok(PersistentDerandCache { cache: Arc::new(cache), backend })
     }
 
     /// The layered cache — pass this wherever an `Arc<DerandCache>` goes
     /// (`Derandomizer::with_cache`, `pipeline_batch`, ...).
     pub fn cache(&self) -> &Arc<DerandCache> {
         &self.cache
-    }
-
-    /// The store backend.
-    pub fn backend(&self) -> &StoreBackend {
-        &self.backend
     }
 
     /// Preloads up to `limit` hot disk entries into the memory tier.
@@ -404,43 +324,6 @@ impl PersistentDerandCache {
         self.backend.flush()
     }
 
-    /// Compacts every shard sequentially; returns bytes reclaimed.
-    ///
-    /// # Errors
-    ///
-    /// The first shard failure.
-    pub fn compact(&self) -> Result<u64, StoreError> {
-        self.backend.store.compact()
-    }
-
-    /// Compacts all shards concurrently on `scheduler` (shards lock
-    /// independently, so this parallelizes cleanly). Returns total bytes
-    /// reclaimed.
-    ///
-    /// # Errors
-    ///
-    /// The first shard failure (other shards still complete).
-    pub fn compact_with(&self, scheduler: &BatchScheduler) -> Result<u64, StoreError> {
-        let shards: Vec<usize> = (0..self.backend.store.shard_count()).collect();
-        let outcome = scheduler.run(&shards, |_, &s| self.backend.store.compact_shard(s));
-        let mut reclaimed = 0;
-        let mut first_err: Option<String> = None;
-        for result in &outcome.results {
-            match result.ok() {
-                Some(bytes) => reclaimed += *bytes,
-                None => {
-                    if first_err.is_none() {
-                        first_err = Some(format!("{result:?}"));
-                    }
-                }
-            }
-        }
-        match first_err {
-            None => Ok(reclaimed),
-            Some(detail) => Err(StoreError::codec(format!("shard compaction failed: {detail}"))),
-        }
-    }
-
     /// Disk-tier accounting.
     pub fn store_stats(&self) -> StoreStats {
         self.backend.store.stats()
@@ -449,11 +332,6 @@ impl PersistentDerandCache {
     /// Memory-tier accounting (includes the `disk_*` counters).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// The store's JSON report (shared `anonet_obs::Json` serializer).
-    pub fn report_json(&self) -> Json {
-        self.backend.store.report_json()
     }
 }
 
@@ -519,20 +397,10 @@ mod tests {
         let backend = StoreBackend::new(Store::open(StoreConfig::new(&dir)).unwrap());
         let cached = sample();
         backend.store_assignment("p", b"qk", &cached).unwrap();
-        backend.record_quotient(b"qk", 3, 4).unwrap();
         assert_eq!(backend.load_assignment("p", b"qk").unwrap(), Some(cached.clone()));
         assert_eq!(backend.load_assignment("other", b"qk").unwrap(), None);
         let warm = backend.warm(16).unwrap();
-        assert!(warm.contains(&WarmEntry::Assignment {
-            problem: "p".into(),
-            key: b"qk".to_vec(),
-            cached
-        }));
-        assert!(warm.contains(&WarmEntry::Quotient {
-            key: b"qk".to_vec(),
-            nodes: 3,
-            multiplicity: 4
-        }));
+        assert_eq!(warm, vec![WarmEntry { problem: "p".into(), key: b"qk".to_vec(), cached }]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -544,7 +412,6 @@ mod tests {
             let pdc = PersistentDerandCache::open(&dir).unwrap();
             assert!(pdc.cache().lookup_assignment("mis", b"qk").is_none());
             pdc.cache().insert_assignment("mis", b"qk", cached.clone());
-            assert!(pdc.cache().record_quotient(b"qk", 3, 2));
             pdc.flush().unwrap();
             let stats = pdc.cache_stats();
             assert_eq!(stats.disk_misses, 1);
@@ -564,39 +431,12 @@ mod tests {
         // warm() preloads without touching hit counters.
         let pdc2 = PersistentDerandCache::open(&dir).unwrap();
         let loaded = pdc2.warm(1024).unwrap();
-        assert_eq!(loaded, 2); // one assignment + one quotient
+        assert_eq!(loaded, 1);
         let before = pdc2.cache_stats();
         assert_eq!(before.assignment_hits + before.assignment_misses, 0);
         assert_eq!(pdc2.cache().lookup_assignment("mis", b"qk"), Some(cached));
         let after = pdc2.cache_stats();
         assert_eq!(after.disk_hits, 0); // served from warmed memory
-        assert!(!pdc2.cache().record_quotient(b"qk", 3, 2)); // already known
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compact_with_scheduler_reclaims() {
-        let dir = tmp("compact");
-        let cfg = StoreConfig::new(&dir).with_shards(4).with_segment_bytes(256);
-        let pdc = PersistentDerandCache::open_with(cfg, None).unwrap();
-        for round in 0..20usize {
-            // Same keys every round: 19/20 of the frames are dead.
-            for k in 0..8u8 {
-                let cached = CachedAssignment {
-                    tapes: vec![tape("1010")],
-                    attempts: round,
-                    simulation_rounds: 1,
-                };
-                // Bypass first-write-wins by writing the backend directly.
-                pdc.backend().store_assignment("p", &[k], &cached).unwrap();
-            }
-        }
-        let before = pdc.store_stats();
-        assert!(before.dead_bytes > 0);
-        let reclaimed = pdc.compact_with(&BatchScheduler::with_threads(4)).unwrap();
-        assert!(reclaimed > 0);
-        assert_eq!(pdc.store_stats().dead_bytes, 0);
-        assert_eq!(pdc.backend().load_assignment("p", &[3]).unwrap().unwrap().attempts, 19);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -23,12 +23,17 @@ use anonet_graph::lift::cyclic_cycle_lift;
 use anonet_graph::LabeledGraph;
 use anonet_runtime::{ExecConfig, Problem};
 
-use crate::experiments::{common::tick, ExpResult};
+use crate::experiments::common::{accept, tick};
+use crate::experiments::ExpResult;
 use crate::table::{secs, Json};
 use crate::Table;
 
 /// Lift multiplicities swept per base (8 lifts each, m = 2..=9).
 pub const MULTIPLICITIES: std::ops::RangeInclusive<usize> = 2..=9;
+
+/// Worker threads of the cached batch (E15) and of both store phases
+/// (E18): fixed, so the reports do not depend on the machine.
+pub const THREADS: usize = 2;
 
 /// One instance of the sweep: a lift of one of the cyclic bases.
 #[derive(Clone, Debug)]
@@ -54,7 +59,7 @@ pub struct BatchRow {
 }
 
 /// The headline numbers of the sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BatchSummary {
     /// Instances swept.
     pub jobs: usize,
@@ -72,6 +77,23 @@ pub struct BatchSummary {
     pub cache: CacheStats,
     /// Every instance's cached run matched its uncached run byte for byte.
     pub all_identical: bool,
+    /// Every instance's derandomized output is a valid MIS.
+    pub all_valid: bool,
+}
+
+impl BatchSummary {
+    /// The E15 acceptance gates: every row is byte-identical to its
+    /// uncached run and valid.
+    ///
+    /// # Errors
+    ///
+    /// Names every gate that failed.
+    pub fn accept(&self) -> ExpResult<()> {
+        accept(&[
+            ("cached outputs diverged from the uncached runs", self.all_identical),
+            ("a derandomized output is not a valid MIS", self.all_valid),
+        ])
+    }
 }
 
 /// One batch instance: base-family name, multiplicity, colored lift.
@@ -129,9 +151,9 @@ pub fn measure() -> ExpResult<(Vec<BatchRow>, BatchSummary)> {
     let baseline =
         derandomize_batch(&alg, &graphs, strategy, &config, &BatchScheduler::with_threads(1), None);
 
-    // The engine under test: shared cache, machine-sized worker pool.
+    // The engine under test: shared cache, fixed worker pool.
     let cache = Arc::new(DerandCache::new());
-    let scheduler = BatchScheduler::new();
+    let scheduler = BatchScheduler::with_threads(THREADS);
     let batch = derandomize_batch(&alg, &graphs, strategy, &config, &scheduler, Some(&cache));
 
     let mut rows = Vec::new();
@@ -163,6 +185,7 @@ pub fn measure() -> ExpResult<(Vec<BatchRow>, BatchSummary)> {
         jobs_per_sec: batch.stats.jobs_per_sec(),
         cache: cache_stats,
         all_identical: rows.iter().all(|r| r.identical),
+        all_valid: rows.iter().all(|r| r.valid),
     };
     Ok((rows, summary))
 }
@@ -196,7 +219,6 @@ pub fn to_json(rows: &[BatchRow], s: &BatchSummary) -> String {
         (
             "cache",
             Json::obj([
-                ("quotient_entries", Json::from(s.cache.quotient_entries)),
                 ("assignment_entries", Json::from(s.cache.assignment_entries)),
                 ("assignment_hits", Json::from(s.cache.assignment_hits)),
                 ("assignment_misses", Json::from(s.cache.assignment_misses)),
@@ -219,7 +241,8 @@ pub fn to_json(rows: &[BatchRow], s: &BatchSummary) -> String {
 ///
 /// # Errors
 ///
-/// Propagates measurement errors; the JSON write failing is an error too.
+/// Propagates measurement errors; the JSON write failing is an error,
+/// and so is a failed acceptance gate ([`BatchSummary::accept`]).
 pub fn report() -> ExpResult<String> {
     let (rows, summary) = measure()?;
     let mut t = Table::new(
@@ -242,6 +265,7 @@ pub fn report() -> ExpResult<String> {
     }
     let json = to_json(&rows, &summary);
     std::fs::write("BENCH_batch.json", &json)?;
+    summary.accept()?;
     Ok(format!(
         "{t}\n{jobs} jobs on {threads} thread(s): uncached sequential {unc:.3?}, \
          cached batch {cac:.3?} — speedup {spd:.2}x at {jps:.1} jobs/sec\n{cache}\n\
@@ -267,14 +291,30 @@ mod tests {
         let (rows, summary) = measure().unwrap();
         // 8 lifts per base, two bases.
         assert_eq!(rows.len(), 16);
+        assert_eq!(summary.threads, THREADS);
         assert!(summary.all_identical);
         assert!(rows.iter().all(|r| r.valid));
+        assert!(summary.accept().is_ok());
         // One miss per base family, hits everywhere else.
         assert_eq!(summary.cache.assignment_misses, 2);
         assert_eq!(summary.cache.assignment_hits, 14);
         assert!(summary.cache.hit_rate() > 0.8);
         // Quotients collapse to the bases.
         assert!(rows.iter().all(|r| r.quotient == if r.base == "C3" { 3 } else { 4 }));
+    }
+
+    #[test]
+    fn diverged_or_invalid_rows_fail_acceptance() {
+        let summary = |all_identical, all_valid| BatchSummary {
+            all_identical,
+            all_valid,
+            ..Default::default()
+        };
+        assert!(summary(true, true).accept().is_ok());
+        let err = summary(false, true).accept().unwrap_err();
+        assert!(err.to_string().contains("diverged"), "{err}");
+        let err = summary(true, false).accept().unwrap_err();
+        assert!(err.to_string().contains("valid"), "{err}");
     }
 
     #[test]

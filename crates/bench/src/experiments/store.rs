@@ -22,7 +22,7 @@ use anonet_graph::lift::cyclic_cycle_lift;
 use anonet_graph::LabeledGraph;
 use anonet_runtime::ExecConfig;
 
-use crate::experiments::batch::MULTIPLICITIES;
+use crate::experiments::batch::{MULTIPLICITIES, THREADS};
 use crate::experiments::common::{accept, tick};
 use crate::experiments::ExpResult;
 use crate::table::{secs, Json};
@@ -30,7 +30,7 @@ use crate::Table;
 
 /// One cache lifecycle over the workload ("process" in the two-process
 /// cold/warm protocol).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StorePhase {
     /// `"cold"` or `"warm"`.
     pub name: &'static str,
@@ -45,10 +45,12 @@ pub struct StorePhase {
 }
 
 /// The E18 summary.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StoreSummary {
     /// Jobs per phase.
     pub jobs: usize,
+    /// Worker threads of both phases.
+    pub threads: usize,
     /// The cold (first-process) phase.
     pub cold: StorePhase,
     /// The warm (second-process) phase.
@@ -104,7 +106,7 @@ fn run_phase(
     let alg = RandomizedMis::new();
     let strategy = SearchStrategy::Exhaustive { max_total_bits: 24 };
     let config = ExecConfig::default();
-    let scheduler = BatchScheduler::new();
+    let scheduler = BatchScheduler::with_threads(THREADS);
     let cache = Arc::clone(pdc.cache());
     let outcome = derandomize_batch(&alg, graphs, strategy, &config, &scheduler, Some(&cache));
     let mut outputs = Vec::with_capacity(graphs.len());
@@ -130,7 +132,11 @@ fn run_phase(
 ///
 /// Propagates store, lift-construction, and derandomization errors.
 pub fn measure() -> ExpResult<StoreSummary> {
-    let dir = std::env::temp_dir().join(format!("anonet-bench-store-{}", std::process::id()));
+    // Process id + in-process counter: concurrent measurements (parallel
+    // tests) never share a store directory.
+    static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("anonet-bench-store-{}-{run}", std::process::id()));
     // A stale directory would let the cold phase warm-start and skew the
     // measurement, so anything but "already absent" is a hard error.
     if let Err(e) = std::fs::remove_dir_all(&dir) {
@@ -145,6 +151,7 @@ pub fn measure() -> ExpResult<StoreSummary> {
     let (warm, warm_out, disk) = run_phase(&dir, "warm", true, &graphs)?;
     let summary = StoreSummary {
         jobs: graphs.len(),
+        threads: THREADS,
         identical: cold_out == warm_out,
         warm_strictly_better: warm.cache.hit_rate() > cold.cache.hit_rate(),
         cold,
@@ -177,6 +184,7 @@ pub fn to_json(s: &StoreSummary) -> String {
     Json::obj([
         ("experiment", Json::str("store")),
         ("jobs", Json::from(s.jobs)),
+        ("threads", Json::from(s.threads)),
         ("cold", phase_json(&s.cold)),
         ("warm", phase_json(&s.warm)),
         ("byte_identical", Json::from(s.identical)),
@@ -272,16 +280,32 @@ mod tests {
         assert_eq!(s.cold.cache.disk_errors, 0);
         assert_eq!(s.cold.warmed, 0);
         // Warm: everything answered from the preloaded cache.
-        assert!(s.warm.warmed >= 2, "warm() must preload both base families");
+        assert_eq!(s.warm.warmed, 2, "warm() must preload both base families");
         assert_eq!(s.warm.cache.assignment_misses, 0);
         assert_eq!(s.warm.cache.assignment_hits, 16);
         assert_eq!(s.warm.cache.disk_errors, 0);
-        // The second open replayed the first lifecycle's records.
-        assert!(s.warm.recovered_records >= 4);
+        // The second open replayed the first lifecycle's two records.
+        assert_eq!(s.warm.recovered_records, 2);
         assert!(s.warm_strictly_better);
         assert!(s.warm.cache.hit_rate() == 1.0);
         assert!((s.cold.cache.hit_rate() - 0.875).abs() < 1e-12);
         assert!(s.accept().is_ok());
+    }
+
+    /// Every field but the wall times is a function of the input.
+    #[test]
+    fn measurement_is_a_pure_function_of_its_input() {
+        let untimed = |mut s: StoreSummary| {
+            s.cold.wall = Duration::ZERO;
+            s.warm.wall = Duration::ZERO;
+            s
+        };
+        let first = untimed(measure().unwrap());
+        assert_eq!(first, untimed(measure().unwrap()));
+        assert_eq!(first.threads, THREADS);
+        assert_eq!(first.warm.recovered_records, 2);
+        assert_eq!(first.warm.warmed, 2);
+        assert_eq!(first.disk.live_records, 2);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use anonet_obs::{names, FlightRecorder, Histogram, JsonlRecorder};
 use anonet_soak::{run_campaign, CampaignConfig};
 use anonet_trace::{critical, flame, perfetto, Trace};
 
-use crate::experiments::common::{round3, tick};
+use crate::experiments::common::{accept, round3, tick};
 use crate::experiments::obs::{self, petersen_pipeline_wall};
 use crate::experiments::ExpResult;
 use crate::table::{secs, Json};
@@ -47,7 +47,7 @@ pub const NOOP_BUDGET: f64 = 1.05;
 pub const FLIGHT_BUDGET: f64 = 2.0;
 
 /// The whole E20 measurement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TraceMeasurement {
     /// min-of-N wall of the un-instrumented Petersen pipeline.
     pub plain: Duration,
@@ -96,6 +96,30 @@ impl TraceMeasurement {
     /// `flight / plain` — the cost of the always-on ring.
     pub fn flight_overhead(&self) -> f64 {
         self.flight.as_secs_f64() / self.plain.as_secs_f64().max(f64::EPSILON)
+    }
+
+    /// The no-op path stays within [`NOOP_BUDGET`].
+    pub fn noop_ok(&self) -> bool {
+        self.noop_overhead() < NOOP_BUDGET
+    }
+
+    /// The flight ring stays within [`FLIGHT_BUDGET`].
+    pub fn flight_ok(&self) -> bool {
+        self.flight_overhead() < FLIGHT_BUDGET
+    }
+
+    /// The E20 acceptance gates: both overheads within their budgets and
+    /// no orphaned span in the campaign trace.
+    ///
+    /// # Errors
+    ///
+    /// Names every gate that failed.
+    pub fn accept(&self) -> ExpResult<()> {
+        accept(&[
+            ("no-op tracing overhead exceeded its budget", self.noop_ok()),
+            ("flight-recorder overhead exceeded its budget", self.flight_ok()),
+            ("campaign trace has orphan spans (severed parent links)", self.orphans == 0),
+        ])
     }
 }
 
@@ -175,8 +199,8 @@ pub fn to_json(m: &TraceMeasurement) -> String {
         ("flight_overhead", Json::Num(round3(m.flight_overhead()))),
         ("noop_budget", Json::Num(NOOP_BUDGET)),
         ("flight_budget", Json::Num(FLIGHT_BUDGET)),
-        ("noop_ok", Json::from(m.noop_overhead() < NOOP_BUDGET)),
-        ("flight_ok", Json::from(m.flight_overhead() < FLIGHT_BUDGET)),
+        ("noop_ok", Json::from(m.noop_ok())),
+        ("flight_ok", Json::from(m.flight_ok())),
         ("flight_captured", Json::from(m.flight_captured)),
         ("flight_dropped", Json::from(m.flight_dropped)),
         ("spans", Json::from(m.spans)),
@@ -207,7 +231,8 @@ pub fn to_json(m: &TraceMeasurement) -> String {
 ///
 /// # Errors
 ///
-/// Propagates measurement errors; artifact I/O failing is an error too.
+/// Propagates measurement errors; artifact I/O failing is an error, and
+/// so is a failed acceptance gate ([`TraceMeasurement::accept`]).
 pub fn report() -> ExpResult<String> {
     let m = measure()?;
 
@@ -236,6 +261,7 @@ pub fn report() -> ExpResult<String> {
 
     std::fs::write("BENCH_trace_campaign.jsonl", &m.campaign_jsonl)?;
     std::fs::write("BENCH_trace.json", to_json(&m))?;
+    m.accept()?;
 
     let (p50, p90, p99) = m.queue_wait_quantiles.unwrap_or((0, 0, 0));
     Ok(format!(
@@ -250,11 +276,11 @@ pub fn report() -> ExpResult<String> {
         noop = m.noop,
         noop_x = m.noop_overhead(),
         noop_b = NOOP_BUDGET,
-        noop_ok = tick(m.noop_overhead() < NOOP_BUDGET),
+        noop_ok = tick(m.noop_ok()),
         flight = m.flight,
         flight_x = m.flight_overhead(),
         flight_b = FLIGHT_BUDGET,
-        flight_ok = tick(m.flight_overhead() < FLIGHT_BUDGET),
+        flight_ok = tick(m.flight_ok()),
         cap = m.flight_captured,
         drop = m.flight_dropped,
         cq = m.critical_queue_us,
@@ -295,6 +321,39 @@ mod tests {
             "flight ring {}x slower than plain",
             m.flight_overhead()
         );
+    }
+
+    /// A measurement that passes every gate: 10 ms plain, 10 ms no-op,
+    /// 15 ms flight ring, no orphans.
+    fn passing() -> TraceMeasurement {
+        TraceMeasurement {
+            plain: Duration::from_millis(10),
+            noop: Duration::from_millis(10),
+            flight: Duration::from_millis(15),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn noop_overhead_beyond_budget_fails_acceptance() {
+        assert!(passing().accept().is_ok());
+        let m = TraceMeasurement { noop: Duration::from_millis(11), ..passing() };
+        let err = m.accept().unwrap_err();
+        assert!(err.to_string().contains("no-op"), "{err}");
+    }
+
+    #[test]
+    fn flight_overhead_beyond_budget_fails_acceptance() {
+        let m = TraceMeasurement { flight: Duration::from_millis(21), ..passing() };
+        let err = m.accept().unwrap_err();
+        assert!(err.to_string().contains("flight-recorder"), "{err}");
+    }
+
+    #[test]
+    fn orphan_spans_fail_acceptance() {
+        let m = TraceMeasurement { orphans: 1, ..passing() };
+        let err = m.accept().unwrap_err();
+        assert!(err.to_string().contains("orphan"), "{err}");
     }
 
     #[test]

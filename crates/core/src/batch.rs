@@ -224,7 +224,7 @@ mod tests {
         let stats = outcome.stats.cache.unwrap();
         assert_eq!(stats.assignment_misses, 1);
         assert_eq!(stats.assignment_hits, 5);
-        assert_eq!(stats.quotient_entries, 1);
+        assert_eq!(stats.assignment_entries, 1);
         // Exactly one run paid for the search.
         let hits = outcome.results.iter().filter(|r| r.ok().unwrap().cache_hit).count();
         assert_eq!(hits, 5);

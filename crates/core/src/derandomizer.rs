@@ -202,7 +202,6 @@ where
         let mut replayed = None;
         if let Some(cache) = &self.cache {
             let key = anonet_graph::canonical::encode_with_order(q.graph(), &order);
-            cache.record_quotient(&key, q.graph().node_count(), q.multiplicity().unwrap_or(0));
             match cache.lookup_or_claim(&self.problem_id(), &key) {
                 Lookup::Miss(c) => claim = Some(c),
                 Lookup::Hit(hit) if hit.tapes.len() == order.len() => {

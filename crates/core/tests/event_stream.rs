@@ -67,7 +67,7 @@ fn derandomizer_cache_miss_then_hit() {
         counter cache.miss 1
         span derandomize/search
         counter search.attempts 1
-        hist cache.bytes 121
+        hist cache.bytes 100
         span derandomize/lift
         span derandomize
         span derandomize/views
@@ -77,7 +77,7 @@ fn derandomizer_cache_miss_then_hit() {
         hist derand.view_depth 0
         span derandomize/replay
         counter cache.hit 1
-        hist cache.bytes 121
+        hist cache.bytes 100
         span derandomize/lift
         span derandomize
     ";

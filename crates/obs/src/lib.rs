@@ -151,12 +151,6 @@ pub mod names {
     pub const STORE_SEGMENT_QUARANTINED: &str = "store.segment.quarantined";
     /// Intact records recovered by open-time segment scans.
     pub const STORE_SEGMENT_RECOVERED: &str = "store.segment.recovered";
-    /// Compaction runs completed.
-    pub const STORE_COMPACTION_RUNS: &str = "store.compaction.runs";
-    /// Bytes reclaimed by compaction.
-    pub const STORE_COMPACTION_RECLAIMED: &str = "store.compaction.reclaimed";
-    /// Live records surviving each compaction (histogram).
-    pub const STORE_COMPACTION_LIVE: &str = "store.compaction.live";
     /// Entries served by warm-start scans.
     pub const STORE_WARM_ENTRIES: &str = "store.warm.entries";
     /// Key+value bytes served by warm-start scans.
@@ -221,8 +215,6 @@ pub mod names {
     pub const SPAN_SEGMENT_WRITE: &str = "segment_write";
     /// Open-time recovery scan of one segment log.
     pub const SPAN_SEGMENT_RECOVER: &str = "segment_recover";
-    /// Compacting one store shard.
-    pub const SPAN_STORE_COMPACT: &str = "store_compact";
     /// Warm-start scan preloading hot entries.
     pub const SPAN_STORE_WARM: &str = "store_warm";
     /// One whole soak campaign.

@@ -384,7 +384,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<SoakReport> {
     }
     let pdc = PersistentDerandCache::open_with(
         StoreConfig::new(&dir).with_recorder(Arc::clone(recorder)),
-        None,
     )?;
     let suite: Suite<RandomizedMis, MisProblem, fn(u32)> =
         Suite::new("soak-mis", RandomizedMis::new(), MisProblem, (|_| ()) as fn(u32)).with_astar();

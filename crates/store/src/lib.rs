@@ -1,10 +1,10 @@
 //! # anonet-store
 //!
 //! A log-structured, sharded, crash-safe on-disk key/value store,
-//! specialized for the derandomization cache: the keys are canonical
-//! quotient encodings `s(G_*)` and the values are the replayable
-//! artifacts (`CachedAssignment` tapes, quotient metadata) that make
-//! warm-started batch runs skip the expensive `A_*` search entirely.
+//! specialized for the derandomization cache: the keys begin with
+//! canonical quotient encodings `s(G_*)` and the values are the
+//! replayable `CachedAssignment` tapes that make warm-started batch runs
+//! skip the expensive `A_*` search entirely.
 //!
 //! Zero external dependencies: `std` plus `anonet-obs` for metrics.
 //!
@@ -25,30 +25,29 @@
 //! back; the first frame that is incomplete or fails its CRC marks a
 //! torn tail, which is truncated away. A frame whose CRC *passes* but
 //! whose payload cannot be decoded is a hard [`StoreError::Corrupt`] —
-//! that is damage a torn write cannot explain.
+//! that is damage a torn write cannot explain. A tombstone frame
+//! (`kind` 1) unbinds its key; the store no longer writes them, but
+//! recovery honours the ones in segments written by older versions.
 //!
 //! ## Sharding
 //!
 //! Keys route to a shard by their first byte (the first byte of the
 //! canonical quotient encoding). Each shard has its own lock, index, and
-//! segment chain, so writes, reads, and [`Store::compact_shard`] calls
-//! on distinct shards run concurrently — `anonet-batch` fans shard
-//! compactions over its `BatchScheduler`.
+//! segment chain, so writes and reads on distinct shards run
+//! concurrently.
 //!
-//! ## Index, budget, compaction
+//! ## Index
 //!
 //! The in-memory index (a deterministic `BTreeMap`) maps `(namespace,
 //! key)` to the record's segment/offset; it is rebuilt on open by the
 //! same scan that performs recovery (latest frame wins, tombstones
-//! unbind). An optional byte budget evicts least-recently-used entries;
-//! compaction rewrites live records into a fresh segment and unlinks the
-//! old ones, new-segment-first so a crash mid-compaction never loses
-//! data.
+//! unbind). Nothing is evicted or compacted: the cache writes each
+//! distinct key once, so the log holds almost no dead frames.
 //!
 //! ## Warm start
 //!
-//! [`Store::warm_scan`] streams the hottest live entries of a namespace
-//! back out (lookup-count order, deterministic), which is how
+//! [`Store::warm_scan`] streams the live entries of a namespace back out
+//! in key order (deterministic), which is how
 //! `PersistentDerandCache::warm` in `anonet-batch` preloads a fresh
 //! process's memory cache from a previous run's disk state.
 

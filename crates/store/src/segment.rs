@@ -80,7 +80,8 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 pub(crate) enum RecordKind {
     /// Bind the key to the value (latest frame wins).
     Put,
-    /// Unbind the key (eviction or explicit removal).
+    /// Unbind the key. The store no longer writes these, but recovery
+    /// still honours the ones older versions left in their segments.
     Tombstone,
 }
 
@@ -89,8 +90,8 @@ pub(crate) enum RecordKind {
 pub(crate) struct Record {
     /// Put or tombstone.
     pub kind: RecordKind,
-    /// Caller-chosen namespace (the store keeps quotient and assignment
-    /// tables apart with it).
+    /// Caller-chosen namespace (keeps independent tables apart in one
+    /// store).
     pub ns: u8,
     /// The key. By store convention it begins with the canonical quotient
     /// encoding `s(G_*)`, whose first byte picks the shard.

@@ -1,26 +1,23 @@
-//! The sharded store: per-shard segment logs, in-memory indexes,
-//! compaction, budget eviction, and the warm-start scan.
+//! The sharded store: per-shard segment logs, in-memory indexes, and
+//! the warm-start scan.
 //!
 //! Keys are routed to a shard by their **first byte** — by store
 //! convention the first byte of the canonical quotient encoding
 //! `s(G_*)`, so lifts of different base families land on (mostly)
-//! different shards. Each shard owns its own [`Mutex`]: appends,
-//! lookups, and compactions of independent shards proceed concurrently,
-//! which is what lets `anonet-batch`'s scheduler fan a whole-store
-//! compaction over its worker pool.
+//! different shards. Each shard owns its own [`Mutex`]: appends and
+//! lookups on independent shards proceed concurrently.
 //!
 //! The in-memory index is a [`BTreeMap`] keyed by `(namespace, key)`:
-//! deterministic iteration order makes compaction output, warm-scan
-//! order, and the `keys()` listing byte-for-byte reproducible — the same
-//! discipline the workspace's determinism lint enforces on the
-//! derandomization crates.
+//! deterministic iteration order makes the warm-scan order and the
+//! `keys()` listing reproducible — the same discipline the workspace's
+//! determinism lint enforces on the derandomization crates.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-use anonet_obs::{names, noop, Json, Recorder, SharedRecorder, Span};
+use anonet_obs::{names, noop, Recorder, SharedRecorder, Span};
 
 use crate::error::{Result, StoreError};
 use crate::segment::{
@@ -37,10 +34,6 @@ pub struct StoreConfig {
     pub shards: usize,
     /// Active-segment roll threshold in bytes.
     pub segment_bytes: u64,
-    /// Approximate live-payload budget for the whole store; beyond it,
-    /// least-recently-used entries are evicted (per shard, at
-    /// `budget / shards`). `None` disables eviction.
-    pub budget_bytes: Option<u64>,
     /// `true` to fsync after every append (slow, maximally durable);
     /// `false` to sync only on [`Store::flush`] and segment rolls.
     pub sync_writes: bool,
@@ -50,13 +43,12 @@ pub struct StoreConfig {
 
 impl StoreConfig {
     /// A config with the workspace defaults: 16 shards, 4 MiB segments,
-    /// no budget, no per-write fsync, no-op recorder.
+    /// no per-write fsync, no-op recorder.
     pub fn new(dir: impl Into<PathBuf>) -> StoreConfig {
         StoreConfig {
             dir: dir.into(),
             shards: 16,
             segment_bytes: 4 << 20,
-            budget_bytes: None,
             sync_writes: false,
             recorder: noop(),
         }
@@ -74,12 +66,6 @@ impl StoreConfig {
         self
     }
 
-    /// Sets a live-payload budget (LRU eviction beyond it).
-    pub fn with_budget_bytes(mut self, bytes: u64) -> Self {
-        self.budget_bytes = Some(bytes);
-        self
-    }
-
     /// Enables fsync-per-append durability.
     pub fn with_sync_writes(mut self, sync: bool) -> Self {
         self.sync_writes = sync;
@@ -93,16 +79,12 @@ impl StoreConfig {
     }
 }
 
-/// Where a live record lives on disk, plus its access accounting.
+/// Where a live record lives on disk.
 #[derive(Clone, Copy, Debug)]
 struct IndexEntry {
     segment: u64,
     offset: u64,
     frame_len: u32,
-    /// LRU stamp (shard-local logical clock).
-    stamp: u64,
-    /// Lookups served since this entry was (re)indexed.
-    hits: u32,
 }
 
 /// Per-shard monotone counters, aggregated into [`StoreStats`].
@@ -114,9 +96,6 @@ struct ShardCounters {
     quarantined_regions: u64,
     quarantined_bytes: u64,
     recovered_records: u64,
-    compactions: u64,
-    reclaimed_bytes: u64,
-    evictions: u64,
 }
 
 #[derive(Debug)]
@@ -126,10 +105,9 @@ struct ShardState {
     /// Read handles for every segment (the active one included).
     readers: BTreeMap<u64, (PathBuf, File)>,
     index: BTreeMap<(u8, Vec<u8>), IndexEntry>,
-    clock: u64,
     /// Bytes of live frames (indexed records).
     live_bytes: u64,
-    /// Bytes of superseded/tombstoned frames awaiting compaction.
+    /// Bytes of superseded/tombstoned frames and quarantined regions.
     dead_bytes: u64,
     /// Total segment-file bytes on disk (headers included).
     disk_bytes: u64,
@@ -164,12 +142,6 @@ pub struct StoreStats {
     pub quarantined_bytes: u64,
     /// Intact records recovered by open-time scans.
     pub recovered_records: u64,
-    /// Compaction runs.
-    pub compactions: u64,
-    /// Bytes reclaimed by compaction.
-    pub reclaimed_bytes: u64,
-    /// Entries evicted to respect the budget.
-    pub evictions: u64,
 }
 
 /// A log-structured, sharded, crash-safe key/value store.
@@ -308,14 +280,7 @@ impl Store {
             st.active.sync()?;
         }
         st.disk_bytes += frame.len() as u64;
-        st.clock += 1;
-        let entry = IndexEntry {
-            segment: st.active.id,
-            offset,
-            frame_len: frame.len() as u32,
-            stamp: st.clock,
-            hits: 0,
-        };
+        let entry = IndexEntry { segment: st.active.id, offset, frame_len: frame.len() as u32 };
         if let Some(old) = st.index.insert((ns, key.to_vec()), entry) {
             st.dead_bytes += u64::from(old.frame_len);
             st.live_bytes -= u64::from(old.frame_len);
@@ -324,7 +289,6 @@ impl Store {
         st.counters.appends += 1;
         rec.counter(names::STORE_SEGMENT_APPENDS, 1);
         rec.counter(names::STORE_SEGMENT_BYTES, frame.len() as u64);
-        self.enforce_budget(st)?;
         Ok(())
     }
 
@@ -342,14 +306,10 @@ impl Store {
         let s = self.shard_of(key);
         let mut guard = self.lock_shard(s);
         let st = &mut *guard;
-        st.clock += 1;
-        let now = st.clock;
-        let Some(entry) = st.index.get_mut(&(ns, key.to_vec())) else {
+        let Some(&IndexEntry { segment, offset, frame_len }) = st.index.get(&(ns, key.to_vec()))
+        else {
             return Ok(None);
         };
-        entry.stamp = now;
-        entry.hits = entry.hits.saturating_add(1);
-        let (segment, offset, frame_len) = (entry.segment, entry.offset, entry.frame_len);
         let Some((path, file)) = st.readers.get_mut(&segment) else {
             return Err(StoreError::Corrupt {
                 segment: st.dir.join(segment_file_name(segment)),
@@ -377,46 +337,6 @@ impl Store {
         self.lock_shard(s).index.contains_key(&(ns, key.to_vec()))
     }
 
-    /// Unbinds `key` in namespace `ns`, appending a tombstone so the
-    /// removal survives reopen. Returns `true` if the key was live.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors appending the tombstone.
-    pub fn remove(&self, ns: u8, key: &[u8]) -> Result<bool> {
-        let s = self.shard_of(key);
-        let mut guard = self.lock_shard(s);
-        let st = &mut *guard;
-        if !st.index.contains_key(&(ns, key.to_vec())) {
-            return Ok(false);
-        }
-        self.remove_locked(st, ns, key)?;
-        Ok(true)
-    }
-
-    /// Removes a key known to be present, under the shard lock.
-    fn remove_locked(&self, st: &mut ShardState, ns: u8, key: &[u8]) -> Result<()> {
-        let tomb = Record { kind: RecordKind::Tombstone, ns, key: key.to_vec(), value: Vec::new() };
-        let frame = tomb.encode_frame();
-        self.roll_if_needed(st, frame.len() as u64)?;
-        st.active.append(&frame)?;
-        if self.cfg.sync_writes {
-            st.active.sync()?;
-        }
-        st.disk_bytes += frame.len() as u64;
-        st.counters.appends += 1;
-        let rec: &dyn Recorder = &*self.cfg.recorder;
-        rec.counter(names::STORE_SEGMENT_APPENDS, 1);
-        rec.counter(names::STORE_SEGMENT_BYTES, frame.len() as u64);
-        if let Some(old) = st.index.remove(&(ns, key.to_vec())) {
-            st.live_bytes -= u64::from(old.frame_len);
-            st.dead_bytes += u64::from(old.frame_len);
-        }
-        // The tombstone frame itself is dead weight until compaction.
-        st.dead_bytes += frame.len() as u64;
-        Ok(())
-    }
-
     /// Rolls the active segment if appending `incoming` bytes would cross
     /// the threshold (never rolls an empty segment).
     fn roll_if_needed(&self, st: &mut ShardState, incoming: u64) -> Result<()> {
@@ -433,26 +353,6 @@ impl Store {
         st.counters.rolls += 1;
         let rec: &dyn Recorder = &*self.cfg.recorder;
         rec.counter(names::STORE_SEGMENT_ROLLS, 1);
-        Ok(())
-    }
-
-    /// Evicts least-recently-used entries while the shard is over its
-    /// share of the budget.
-    fn enforce_budget(&self, st: &mut ShardState) -> Result<()> {
-        let Some(budget) = self.cfg.budget_bytes else { return Ok(()) };
-        let per_shard = (budget / self.cfg.shards as u64).max(1);
-        while st.live_bytes > per_shard && st.index.len() > 1 {
-            let Some(victim) = st
-                .index
-                .iter()
-                .min_by_key(|(k, e)| (e.stamp, (*k).clone()))
-                .map(|((ns, key), _)| (*ns, key.clone()))
-            else {
-                return Ok(());
-            };
-            self.remove_locked(st, victim.0, &victim.1)?;
-            st.counters.evictions += 1;
-        }
         Ok(())
     }
 
@@ -489,9 +389,8 @@ impl Store {
     }
 
     /// Reads up to `limit` live entries of namespace `ns` for cache
-    /// warming, hottest first (by lookup count, then key — deterministic;
-    /// after a fresh open all counts are zero, so the order is the key
-    /// order). Emits `store.warm.*` metrics.
+    /// warming, in key order (deterministic). Emits `store.warm.*`
+    /// metrics.
     ///
     /// # Errors
     ///
@@ -499,20 +398,18 @@ impl Store {
     pub fn warm_scan(&self, ns: u8, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let rec: &dyn Recorder = &*self.cfg.recorder;
         let _warm_span = Span::new(rec, names::SPAN_STORE_WARM);
-        let mut candidates: Vec<(std::cmp::Reverse<u32>, Vec<u8>)> = Vec::new();
+        let mut candidates: Vec<Vec<u8>> = Vec::new();
         for s in 0..self.cfg.shards {
             let guard = self.lock_shard(s);
-            for ((ens, key), entry) in guard.index.iter() {
-                if *ens == ns {
-                    candidates.push((std::cmp::Reverse(entry.hits), key.clone()));
-                }
-            }
+            candidates.extend(
+                guard.index.keys().filter(|(ens, _)| *ens == ns).map(|(_, key)| key.clone()),
+            );
         }
         candidates.sort();
         candidates.truncate(limit);
         let mut out = Vec::with_capacity(candidates.len());
         let mut bytes = 0u64;
-        for (_, key) in candidates {
+        for key in candidates {
             if let Some(value) = self.get(ns, &key)? {
                 bytes += (key.len() + value.len()) as u64;
                 out.push((key, value));
@@ -521,101 +418,6 @@ impl Store {
         rec.counter(names::STORE_WARM_ENTRIES, out.len() as u64);
         rec.counter(names::STORE_WARM_BYTES, bytes);
         Ok(out)
-    }
-
-    /// Compacts one shard: rewrites every live record (in index order)
-    /// into a fresh segment, then deletes the old segments. Dead frames —
-    /// superseded puts, tombstones, evicted entries — are dropped.
-    ///
-    /// Crash-safe by ordering: the new segment is written and synced
-    /// *before* any old file is unlinked, and it has a higher id, so a
-    /// crash at any point leaves a store whose open-time scan reaches the
-    /// same live set (duplicate records resolve latest-id-wins).
-    ///
-    /// Returns the bytes reclaimed.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidConfig` for an out-of-range shard id; I/O errors.
-    pub fn compact_shard(&self, s: usize) -> Result<u64> {
-        if s >= self.cfg.shards {
-            return Err(StoreError::InvalidConfig {
-                detail: format!("shard {s} out of range (store has {})", self.cfg.shards),
-            });
-        }
-        let rec: &dyn Recorder = &*self.cfg.recorder;
-        let _compact_span = Span::new(rec, names::SPAN_STORE_COMPACT);
-        let mut guard = self.lock_shard(s);
-        let st = &mut *guard;
-        let old_disk = st.disk_bytes;
-        let next_id = st.active.id + 1;
-        let mut writer = SegmentWriter::create(&st.dir, next_id, s as u16)?;
-
-        // Rewrite live records in deterministic (ns, key) order.
-        let live: Vec<((u8, Vec<u8>), IndexEntry)> =
-            st.index.iter().map(|(k, e)| (k.clone(), *e)).collect();
-        let mut new_entries: Vec<((u8, Vec<u8>), IndexEntry)> = Vec::with_capacity(live.len());
-        for (key, entry) in live {
-            let Some((path, file)) = st.readers.get_mut(&entry.segment) else {
-                return Err(StoreError::Corrupt {
-                    segment: st.dir.join(segment_file_name(entry.segment)),
-                    offset: entry.offset,
-                    detail: "compaction found an index entry with no reader".into(),
-                });
-            };
-            let record = segment::read_frame(file, path, entry.offset, entry.frame_len)?;
-            let frame = record.encode_frame();
-            let offset = writer.append(&frame)?;
-            new_entries.push((
-                key,
-                IndexEntry {
-                    segment: next_id,
-                    offset,
-                    frame_len: frame.len() as u32,
-                    stamp: entry.stamp,
-                    hits: entry.hits,
-                },
-            ));
-        }
-        writer.sync()?;
-
-        // Point of no return: the new segment is durable. Retire the old.
-        let old_ids: Vec<u64> = st.readers.keys().copied().collect();
-        for id in old_ids {
-            let path = st.dir.join(segment_file_name(id));
-            std::fs::remove_file(&path)
-                .map_err(|e| StoreError::io(format!("removing {}", path.display()), e))?;
-        }
-        st.readers.clear();
-        let reader = open_reader(&writer.path)?;
-        st.readers.insert(next_id, (writer.path.clone(), reader));
-        st.index = new_entries.into_iter().collect();
-        st.live_bytes = st.index.values().map(|e| u64::from(e.frame_len)).sum();
-        st.dead_bytes = 0;
-        st.disk_bytes = writer.len;
-        st.active = writer;
-        let reclaimed = old_disk.saturating_sub(st.disk_bytes);
-        st.counters.compactions += 1;
-        st.counters.reclaimed_bytes += reclaimed;
-        rec.counter(names::STORE_COMPACTION_RUNS, 1);
-        rec.counter(names::STORE_COMPACTION_RECLAIMED, reclaimed);
-        rec.histogram(names::STORE_COMPACTION_LIVE, st.index.len() as u64);
-        Ok(reclaimed)
-    }
-
-    /// Compacts every shard sequentially; returns total bytes reclaimed.
-    /// For concurrent compaction, fan [`Store::compact_shard`] over a
-    /// worker pool — shards lock independently.
-    ///
-    /// # Errors
-    ///
-    /// The first shard failure.
-    pub fn compact(&self) -> Result<u64> {
-        let mut reclaimed = 0;
-        for s in 0..self.cfg.shards {
-            reclaimed += self.compact_shard(s)?;
-        }
-        Ok(reclaimed)
     }
 
     /// Aggregated accounting across shards.
@@ -634,35 +436,8 @@ impl Store {
             stats.quarantined_regions += guard.counters.quarantined_regions;
             stats.quarantined_bytes += guard.counters.quarantined_bytes;
             stats.recovered_records += guard.counters.recovered_records;
-            stats.compactions += guard.counters.compactions;
-            stats.reclaimed_bytes += guard.counters.reclaimed_bytes;
-            stats.evictions += guard.counters.evictions;
         }
         stats
-    }
-
-    /// The store's accounting as a [`Json`] report (the workspace's one
-    /// shared serializer), for CI artifacts and dashboards.
-    pub fn report_json(&self) -> Json {
-        let s = self.stats();
-        Json::obj([
-            ("dir", Json::str(self.cfg.dir.display().to_string())),
-            ("shards", Json::from(s.shards)),
-            ("segments", Json::from(s.segments)),
-            ("live_records", Json::from(s.live_records)),
-            ("live_bytes", Json::from(s.live_bytes as usize)),
-            ("dead_bytes", Json::from(s.dead_bytes as usize)),
-            ("disk_bytes", Json::from(s.disk_bytes as usize)),
-            ("appends", Json::from(s.appends)),
-            ("rolls", Json::from(s.rolls)),
-            ("torn_truncations", Json::from(s.torn_truncations)),
-            ("quarantined_regions", Json::from(s.quarantined_regions)),
-            ("quarantined_bytes", Json::from(s.quarantined_bytes as usize)),
-            ("recovered_records", Json::from(s.recovered_records)),
-            ("compactions", Json::from(s.compactions)),
-            ("reclaimed_bytes", Json::from(s.reclaimed_bytes as usize)),
-            ("evictions", Json::from(s.evictions)),
-        ])
     }
 }
 
@@ -711,7 +486,6 @@ fn open_shard(cfg: &StoreConfig, s: usize) -> Result<ShardState> {
     let mut readers: BTreeMap<u64, (PathBuf, File)> = BTreeMap::new();
     let mut dead_bytes = 0u64;
     let mut disk_bytes = 0u64;
-    let mut clock = 0u64;
     let mut last_segment: Option<(u64, u64)> = None; // (id, validated len)
 
     for &id in &ids {
@@ -722,8 +496,8 @@ fn open_shard(cfg: &StoreConfig, s: usize) -> Result<ShardState> {
         for region in &outcome.quarantined {
             counters.quarantined_regions += 1;
             counters.quarantined_bytes += region.len;
-            // Quarantined bytes stay in the file until compaction; they
-            // are dead weight, like superseded frames.
+            // Quarantined bytes stay in the file as dead weight, like
+            // superseded frames.
             dead_bytes += region.len;
         }
         if let Some(cut) = outcome.truncate_to {
@@ -742,7 +516,6 @@ fn open_shard(cfg: &StoreConfig, s: usize) -> Result<ShardState> {
         }
         for frame in &outcome.frames {
             counters.recovered_records += 1;
-            clock += 1;
             let key = (frame.record.ns, frame.record.key.clone());
             match frame.record.kind {
                 RecordKind::Put => {
@@ -750,8 +523,6 @@ fn open_shard(cfg: &StoreConfig, s: usize) -> Result<ShardState> {
                         segment: id,
                         offset: frame.offset,
                         frame_len: frame.frame_len,
-                        stamp: clock,
-                        hits: 0,
                     };
                     if let Some(old) = index.insert(key, entry) {
                         dead_bytes += u64::from(old.frame_len);
@@ -792,17 +563,7 @@ fn open_shard(cfg: &StoreConfig, s: usize) -> Result<ShardState> {
     };
 
     let live_bytes = index.values().map(|e| u64::from(e.frame_len)).sum();
-    Ok(ShardState {
-        dir,
-        active,
-        readers,
-        index,
-        clock,
-        live_bytes,
-        dead_bytes,
-        disk_bytes,
-        counters,
-    })
+    Ok(ShardState { dir, active, readers, index, live_bytes, dead_bytes, disk_bytes, counters })
 }
 
 #[cfg(test)]
@@ -817,6 +578,26 @@ mod tests {
 
     fn small(dir: &Path) -> StoreConfig {
         StoreConfig::new(dir).with_shards(4).with_segment_bytes(256)
+    }
+
+    /// Appends a tombstone for `(ns, key)` to the newest segment of the
+    /// key's shard in a closed store (stores written by older versions
+    /// hold such frames).
+    fn append_tombstone(dir: &Path, shard: usize, ns: u8, key: &[u8]) {
+        use std::io::Write;
+        let shard_dir = dir.join(format!("shard-{shard:02}"));
+        let newest = std::fs::read_dir(&shard_dir)
+            .unwrap()
+            .filter_map(|e| parse_segment_id(e.unwrap().file_name().to_str()?))
+            .max()
+            .unwrap();
+        let tomb = Record { kind: RecordKind::Tombstone, ns, key: key.to_vec(), value: Vec::new() };
+        OpenOptions::new()
+            .append(true)
+            .open(shard_dir.join(segment_file_name(newest)))
+            .unwrap()
+            .write_all(&tomb.encode_frame())
+            .unwrap();
     }
 
     #[test]
@@ -845,9 +626,9 @@ mod tests {
             for i in 0..20u8 {
                 store.put(0, &[i, i + 1], &[i; 10]).unwrap();
             }
-            store.remove(0, &[3, 4]).unwrap();
             store.flush().unwrap();
         }
+        append_tombstone(&dir, 3, 0, &[3, 4]);
         let store = Store::open(small(&dir)).unwrap();
         assert_eq!(store.len(), 19);
         assert_eq!(store.get(0, &[5, 6]).unwrap().as_deref(), Some(&[5u8; 10][..]));
@@ -857,23 +638,19 @@ mod tests {
     }
 
     #[test]
-    fn segments_roll_and_compaction_reclaims() {
-        let dir = tmp("compact");
+    fn segments_roll_and_latest_frame_wins() {
+        let dir = tmp("roll");
         let store = Store::open(small(&dir)).unwrap();
         // Overwrite one key many times: all but the last frame are dead.
         for i in 0..50u8 {
             store.put(2, b"hot", &[i; 32]).unwrap();
         }
-        let before = store.stats();
-        assert!(before.rolls > 0, "50 frames of ~50B must roll 256B segments");
-        assert!(before.dead_bytes > 0);
-        let reclaimed = store.compact().unwrap();
-        assert!(reclaimed > 0);
-        let after = store.stats();
-        assert_eq!(after.dead_bytes, 0);
-        assert_eq!(after.live_records, 1);
+        let stats = store.stats();
+        assert!(stats.rolls > 0, "50 frames of ~50B must roll 256B segments");
+        assert!(stats.dead_bytes > 0);
+        assert_eq!(stats.live_records, 1);
         assert_eq!(store.get(2, b"hot").unwrap().as_deref(), Some(&[49u8; 32][..]));
-        // Compaction must also survive reopen.
+        // The latest frame also wins across the rolled segments on reopen.
         store.flush().unwrap();
         drop(store);
         let store = Store::open(small(&dir)).unwrap();
@@ -882,76 +659,21 @@ mod tests {
     }
 
     #[test]
-    fn budget_evicts_lru() {
-        let dir = tmp("budget");
-        // 1 shard so the budget applies to one index; ~55B frames, so a
-        // 120B budget holds two entries and the third forces an eviction.
-        let cfg =
-            StoreConfig::new(&dir).with_shards(1).with_segment_bytes(4096).with_budget_bytes(120);
-        let store = Store::open(cfg).unwrap();
-        store.put(0, b"a", &[1; 40]).unwrap();
-        store.put(0, b"b", &[2; 40]).unwrap();
-        // Touch "a" so "b" is the LRU victim when "c" overflows the budget.
-        assert!(store.get(0, b"a").unwrap().is_some());
-        store.put(0, b"c", &[3; 40]).unwrap();
-        assert!(store.stats().evictions >= 1);
-        assert!(store.get(0, b"b").unwrap().is_none());
-        assert!(store.get(0, b"a").unwrap().is_some());
-        assert!(store.get(0, b"c").unwrap().is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn eviction_order_pins_lru_with_read_and_overwrite_refresh() {
-        let dir = tmp("evict-order");
-        // Same geometry as `budget_evicts_lru`: ~55B frames, 120B budget,
-        // so two entries are resident and every third put evicts. This
-        // test pins the *order* of victims: strict LRU, with both reads
-        // and overwrites refreshing recency.
-        let cfg =
-            StoreConfig::new(&dir).with_shards(1).with_segment_bytes(4096).with_budget_bytes(120);
-        let store = Store::open(cfg).unwrap();
-        store.put(0, b"a", &[1; 40]).unwrap();
-        store.put(0, b"b", &[2; 40]).unwrap();
-        // A read refreshes "a", so "b" is the first victim.
-        store.get(0, b"a").unwrap();
-        store.put(0, b"c", &[3; 40]).unwrap();
-        assert_eq!(store.stats().evictions, 1);
-        assert!(store.get(0, b"b").unwrap().is_none());
-        // Resident {a, c}; reading "c" makes "a" the second victim.
-        store.get(0, b"c").unwrap();
-        store.put(0, b"d", &[4; 40]).unwrap();
-        assert_eq!(store.stats().evictions, 2);
-        assert!(store.get(0, b"a").unwrap().is_none());
-        // Overwriting a resident key evicts nothing (the superseded frame
-        // turns dead, live stays at two entries) and refreshes "c" —
-        // leaving "d" as the third victim.
-        store.put(0, b"c", &[5; 40]).unwrap();
-        assert_eq!(store.stats().evictions, 2);
-        store.put(0, b"e", &[6; 40]).unwrap();
-        assert_eq!(store.stats().evictions, 3);
-        assert!(store.get(0, b"d").unwrap().is_none());
-        assert_eq!(store.get(0, b"c").unwrap().as_deref(), Some(&[5u8; 40][..]));
-        assert!(store.get(0, b"e").unwrap().is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn warm_scan_orders_hot_first() {
+    fn warm_scan_is_in_key_order() {
         let dir = tmp("warm");
         let store = Store::open(small(&dir)).unwrap();
+        store.put(0, b"warm", b"w").unwrap();
         store.put(0, b"cold", b"c").unwrap();
         store.put(0, b"hot", b"h").unwrap();
-        store.put(0, b"warm", b"w").unwrap();
+        store.put(1, b"other", b"o").unwrap();
         for _ in 0..5 {
-            store.get(0, b"hot").unwrap();
+            store.get(0, b"warm").unwrap();
         }
-        store.get(0, b"warm").unwrap();
+        // Reads do not reorder the scan; `limit` keeps the first keys.
         let entries = store.warm_scan(0, 2).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, b"hot");
-        assert_eq!(entries[1].0, b"warm");
-        // Fresh open: zero hit counts, deterministic key order.
+        let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
+        assert_eq!(keys, vec![&b"cold"[..], &b"hot"[..]]);
+        // Fresh open: the same deterministic key order, one namespace only.
         store.flush().unwrap();
         drop(store);
         let store = Store::open(small(&dir)).unwrap();
@@ -995,18 +717,6 @@ mod tests {
         // ...but only the hit reaches a segment frame and counts bytes.
         assert_eq!(snap.counter(names::STORE_SEGMENT_READS), 1);
         assert_eq!(snap.counter(names::STORE_SEGMENT_READ_BYTES), 11);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn report_json_roundtrips_through_the_shared_parser() {
-        let dir = tmp("json");
-        let store = Store::open(small(&dir)).unwrap();
-        store.put(0, b"k", b"v").unwrap();
-        let text = store.report_json().pretty();
-        let parsed = Json::parse(&text).unwrap();
-        assert_eq!(parsed.get("live_records").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(parsed.get("shards").and_then(Json::as_f64), Some(4.0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

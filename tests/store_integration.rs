@@ -126,9 +126,13 @@ fn batched_persistent_cache_matches_memory_and_warm_starts() {
 
         // Process 2: reopen, warm, re-run — all hits, zero searches.
         let pdc = PersistentDerandCache::open(&run_dir).expect("reopen store");
-        assert!(pdc.store_stats().recovered_records >= 3, "reopen must replay the segments");
+        assert_eq!(
+            pdc.store_stats().recovered_records,
+            3,
+            "reopen must replay one record per quotient class"
+        );
         let warmed = pdc.warm(usize::MAX).expect("warm from disk");
-        assert!(warmed >= 3, "warm() must preload all three quotient classes, got {warmed}");
+        assert_eq!(warmed, 3, "warm() must preload all three quotient classes");
         let warm = batch_bytes(&instances, threads, pdc.cache());
         assert_eq!(memory, warm, "warm-started run ({threads} threads) diverged from memory");
         let stats = pdc.cache_stats();
