@@ -41,38 +41,31 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use anonet_graph::BitString;
 use anonet_graph::{Label, LabeledGraph};
 use anonet_store::StoreError;
-use anonet_views::{canonical_encoding, quotient, ViewMode};
+use anonet_views::{quotient, ViewMode};
 
 use crate::persist::{CacheBackend, WarmEntry};
 
-/// The canonical content address `s(G_*)` of a prime labeled graph (a view
-/// quotient). Isomorphism-invariant: equal for isomorphic quotients.
-///
-/// # Errors
-///
-/// Propagates [`anonet_views::ViewError::NotDiscrete`] if `q` has repeated
-/// views (i.e. is not actually a quotient / prime graph).
-pub fn quotient_key<L: Label>(q: &LabeledGraph<L>) -> anonet_views::Result<Vec<u8>> {
-    canonical_encoding(q, ViewMode::Portless)
-}
-
-/// The content address of a 2-hop colored **instance**: the key of its
-/// quotient, `s(G_*)`. Two instances share a key iff their quotients are
-/// isomorphic — in particular, all lifts of a common base share one key.
+/// The content address of a 2-hop colored **instance**: the encoding
+/// `s(G_*)` of its quotient ([`ViewQuotient::encoding`]). Two instances
+/// share a key iff their quotients are isomorphic — in particular, all
+/// lifts of a common base share one key.
 ///
 /// # Errors
 ///
 /// Propagates quotient-construction errors if `g` is not 2-hop colored.
+///
+/// [`ViewQuotient::encoding`]: anonet_views::ViewQuotient::encoding
 pub fn instance_key<L: Label>(g: &LabeledGraph<L>) -> anonet_views::Result<Vec<u8>> {
-    quotient_key(quotient(g, ViewMode::Portless)?.graph())
+    Ok(quotient(g, ViewMode::Portless)?.encoding())
 }
 
 /// A cached canonical simulation, returned by
 /// [`DerandCache::lookup_assignment`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedAssignment {
-    /// Tapes by canonical position: `tapes[p]` is the tape of the node at
-    /// position `p` in the canonical order on `V_*`.
+    /// Tapes by canonical position: `tapes[p]` is the tape of quotient
+    /// node `p`, since a quotient's numbering is the canonical order on
+    /// `V_*`.
     pub tapes: Vec<BitString>,
     /// Simulations attempted when the entry was first computed.
     pub attempts: usize,

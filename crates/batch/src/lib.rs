@@ -40,8 +40,7 @@ pub mod persist;
 pub mod scheduler;
 
 pub use cache::{
-    instance_key, quotient_key, CacheStats, CachedAssignment, Claim, CounterRegression,
-    DerandCache, Lookup,
+    instance_key, CacheStats, CachedAssignment, Claim, CounterRegression, DerandCache, Lookup,
 };
 pub use persist::{CacheBackend, PersistentDerandCache, StoreBackend, WarmEntry};
 pub use scheduler::{BatchOutcome, BatchScheduler, BatchStats, JobResult};

@@ -1,5 +1,5 @@
 //! E16 — the observability layer measured: per-phase wall-time breakdown
-//! of the Theorem-1 pipeline (coloring / views / factor / search / lift
+//! of the Theorem-1 pipeline (coloring / views / search / lift
 //! and the faithful `A_*`'s Update-Graph / Update-Output / Update-Bits),
 //! per-round message and bit curves across graph families, and the cost
 //! of observing at all — the no-op recorder must stay within 5% of the
@@ -37,13 +37,8 @@ pub const SEED: u64 = 7;
 pub const FAMILY_NAMES: &[&str] = &["cycle-12", "path-12", "torus-3x4", "petersen"];
 
 /// Pipeline span leaves reported in the phase breakdown.
-const PIPELINE_PHASES: &[&str] = &[
-    names::SPAN_COLORING,
-    names::SPAN_VIEWS,
-    names::SPAN_FACTOR,
-    names::SPAN_SEARCH,
-    names::SPAN_LIFT,
-];
+const PIPELINE_PHASES: &[&str] =
+    &[names::SPAN_COLORING, names::SPAN_VIEWS, names::SPAN_SEARCH, names::SPAN_LIFT];
 
 /// `A_*` span leaves reported in the phase breakdown.
 const ASTAR_PHASES: &[&str] =
@@ -406,9 +401,7 @@ mod tests {
     fn phase_breakdown_covers_all_phases() {
         let m = measure().unwrap();
         let names: Vec<&str> = m.phases.iter().map(|&(n, _)| n).collect();
-        for required in
-            ["coloring", "views", "factor", "update_graph", "update_output", "update_bits"]
-        {
+        for required in ["coloring", "views", "update_graph", "update_output", "update_bits"] {
             assert!(names.contains(&required), "phase {required} missing from breakdown");
         }
         // Every observed run actually spent time coloring.

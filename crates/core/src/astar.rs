@@ -56,8 +56,7 @@ use anonet_runtime::{
     run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, Problem, TapeSource,
 };
 use anonet_views::{
-    canonical_order, canonical_view_encoding, quotient, update_graph_cmp, ViewMode, ViewQuotient,
-    ViewTree,
+    canonical_view_encoding, quotient, update_graph_cmp, ViewMode, ViewQuotient, ViewTree,
 };
 
 use crate::astar_cache::{AstarCache, CandidateLabel, PoolKey};
@@ -235,7 +234,6 @@ where
         rec.counter(names::ASTAR_C2_HITS, 1);
     }
 
-    let order = canonical_order(q.graph(), ViewMode::Portless)?;
     let j = q.graph().map_labels(|((i, _c), _b)| i.clone());
     let tapes: Vec<BitString> = q.graph().labels().iter().map(|(_ic, b)| b.clone()).collect();
     let assignment = BitAssignment::new(tapes);
@@ -256,7 +254,7 @@ where
 
     // Update-Bits: smallest p-extension inducing success.
     let update_bits_span = Span::new(rec, names::SPAN_UPDATE_BITS);
-    let new_bits = match smallest_successful_extension(alg, &j, &assignment, p, &order, cfg)? {
+    let new_bits = match smallest_successful_extension(alg, &j, &assignment, p, cfg)? {
         Some(b_min) => {
             let tape = b_min
                 .tape(v_star)
@@ -428,7 +426,6 @@ where
             drop(update_graph_span);
             let Some((q, v_star)) = selected else { continue }; // skip phase p at v
 
-            let order = canonical_order(q.graph(), ViewMode::Portless)?;
             let j = q.graph().map_labels(|((i, _c), _b)| i.clone());
             let tapes: Vec<BitString> =
                 q.graph().labels().iter().map(|(_ic, b)| b.clone()).collect();
@@ -456,9 +453,7 @@ where
 
             // Update-Bits: smallest p-extension inducing success.
             let update_bits_span = Span::new(rec, names::SPAN_UPDATE_BITS);
-            if let Some(b_min) =
-                smallest_successful_extension(alg, &j, &assignment, p, &order, cfg)?
-            {
+            if let Some(b_min) = smallest_successful_extension(alg, &j, &assignment, p, cfg)? {
                 new_bits[v.index()] =
                     // anonet-lint: allow(panic-hygiene, reason = "reference engine kept literal to Figure 3; conformance oracles diff it against the fast engine")
                     b_min.tape(v_star).expect("extension covers the quotient").clone();
@@ -484,23 +479,20 @@ where
 /// Enumerates the extensions of `base` in which every tape reaches length
 /// exactly `target` (the paper's *p-extensions*), in the canonical
 /// assignment order, returning the first that induces a successful
-/// simulation.
+/// simulation. `j` is a quotient, so node `i` is at canonical position `i`.
 fn smallest_successful_extension<A>(
     alg: &A,
     j: &LabeledGraph<A::Input>,
     base: &BitAssignment,
     target: usize,
-    order: &[NodeId],
     cfg: &AStarConfig,
 ) -> Result<Option<BitAssignment>>
 where
     A: ObliviousAlgorithm + Clone,
     A::Input: Label,
 {
-    let extras: Vec<usize> = order
-        .iter()
-        .map(|&v| target.saturating_sub(base.tape(v).map_or(0, BitString::len)))
-        .collect();
+    let extras: Vec<usize> =
+        base.tapes().iter().map(|tape| target.saturating_sub(tape.len())).collect();
     let total: usize = extras.iter().sum();
     if total > cfg.max_extension_bits {
         return Err(CoreError::SearchBudgetExceeded {
@@ -511,10 +503,10 @@ where
     for code in 0u64..(1u64 << total) {
         let mut tapes = base.tapes().to_vec();
         let mut shift = total;
-        for (k, &v) in order.iter().enumerate() {
-            for _ in 0..extras[k] {
+        for (tape, &extra) in tapes.iter_mut().zip(&extras) {
+            for _ in 0..extra {
                 shift -= 1;
-                tapes[v.index()].push((code >> shift) & 1 == 1);
+                tape.push((code >> shift) & 1 == 1);
             }
         }
         let assignment = BitAssignment::new(tapes);

@@ -48,9 +48,7 @@ use std::collections::{HashMap, HashSet};
 use anonet_graph::{coloring, distance, BitString, Label, LabeledGraph, NodeId};
 use anonet_obs::{names, Recorder};
 use anonet_runtime::Problem;
-use anonet_views::{
-    canonical_encoding, canonical_view_encoding, quotient, Interner, Sym, ViewMode, ViewQuotient,
-};
+use anonet_views::{canonical_view_encoding, quotient, Interner, Sym, ViewMode, ViewQuotient};
 
 use crate::candidates::candidate_pool;
 use crate::error::CoreError;
@@ -184,7 +182,7 @@ impl<I: Label, C: Label> AstarCache<I, C> {
             }
             let pool = candidate_pool(p_capped, universe)?;
             slot.insert(PoolEntry {
-                candidates: filter_pool(problem, pool)?,
+                candidates: filter_pool(problem, pool),
                 indexes: HashMap::new(),
             });
         } else {
@@ -264,7 +262,7 @@ pub fn pool_keys<L: Label>(
 fn filter_pool<I, C, P>(
     problem: &P,
     pool: Vec<LabeledGraph<CandidateLabel<I, C>>>,
-) -> Result<Vec<PoolCandidate<I, C>>>
+) -> Vec<PoolCandidate<I, C>>
 where
     I: Label,
     C: Label,
@@ -283,15 +281,14 @@ where
         }
         // Finite view graph of the candidate.
         let Ok(q) = quotient(&cand, ViewMode::Portless) else { continue };
-        let encoding = canonical_encoding(q.graph(), ViewMode::Portless)?;
         out.push(PoolCandidate {
             node_count: q.graph().node_count(),
-            encoding,
+            encoding: q.encoding(),
             quotient: q,
             graph: cand,
         });
     }
-    Ok(out)
+    out
 }
 
 /// Builds the depth-`depth` C2 index over `candidates`, reproducing the
@@ -337,7 +334,7 @@ mod tests {
     use anonet_algorithms::problems::MisProblem;
     use anonet_graph::generators;
     use anonet_obs::NoopRecorder;
-    use anonet_views::{canonical_order, update_graph_cmp, ViewTree};
+    use anonet_views::{canonical_encoding, canonical_order, update_graph_cmp, ViewTree};
 
     use crate::candidates::candidate_pool_all_presentations;
 
@@ -447,10 +444,9 @@ mod tests {
         // every view encoding either index knows.
         let universe = triangle_universe();
         let depth = 3usize;
-        let deduped = filter_pool(&MisProblem, candidate_pool(3, &universe).unwrap()).unwrap();
+        let deduped = filter_pool(&MisProblem, candidate_pool(3, &universe).unwrap());
         let full =
-            filter_pool(&MisProblem, candidate_pool_all_presentations(3, &universe).unwrap())
-                .unwrap();
+            filter_pool(&MisProblem, candidate_pool_all_presentations(3, &universe).unwrap());
         assert!(full.len() > deduped.len(), "dedup should shrink the pool");
 
         let mut interner_d = Interner::new();

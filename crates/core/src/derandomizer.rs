@@ -21,10 +21,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use anonet_batch::{CachedAssignment, Claim, DerandCache, Lookup};
-use anonet_graph::{BitString, Label, LabeledGraph};
+use anonet_graph::{Label, LabeledGraph};
 use anonet_obs::{names, noop, Recorder, SharedRecorder, Span};
 use anonet_runtime::{run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, TapeSource};
-use anonet_views::{canonical_order, quotient, ViewMode};
+use anonet_views::{quotient, ViewMode};
 
 use crate::search::{canonical_successful_simulation, CanonicalSimulation, SearchStrategy};
 use crate::Result;
@@ -48,7 +48,8 @@ pub struct DerandomizedRun<O> {
     pub attempts: usize,
     /// `true` if the canonical assignment came out of a [`DerandCache`].
     pub cache_hit: bool,
-    /// Wall time of stage 1 (quotient construction + canonical order).
+    /// Wall time of stage 1: quotient construction, whose numbering is
+    /// the canonical order.
     pub quotient_time: Duration,
     /// Wall time of stage 2 (canonical-simulation search, or the single
     /// replay on a cache hit) plus the output lift.
@@ -142,7 +143,7 @@ where
     }
 
     /// Attaches an observability [`Recorder`]: runs then report spans for
-    /// every stage (`derandomize/{views,factor,search,replay,lift}`),
+    /// every stage (`derandomize/{views,search,replay,lift}`),
     /// `cache.hit`/`cache.miss` counters, and quotient-shape histograms.
     /// The default is the no-op recorder — zero cost, zero behavior
     /// change.
@@ -182,36 +183,28 @@ where
         let views_span = Span::new(rec, names::SPAN_VIEWS);
         let q = quotient(instance, ViewMode::Portless)?;
         drop(views_span);
-        let factor_span = Span::new(rec, names::SPAN_FACTOR);
-        let order = canonical_order(q.graph(), ViewMode::Portless)?;
-        drop(factor_span);
         let j = q.graph().map_labels(|(i, _c)| i.clone());
         let quotient_time = t0.elapsed();
+        let multiplicity = q.multiplicity().unwrap_or(0);
         if observing {
             rec.histogram(names::DERAND_QUOTIENT_NODES, q.graph().node_count() as u64);
-            rec.histogram(names::DERAND_MULTIPLICITY, q.multiplicity().unwrap_or(0) as u64);
+            rec.histogram(names::DERAND_MULTIPLICITY, multiplicity as u64);
             rec.histogram(names::DERAND_VIEW_DEPTH, q.stabilization_depth() as u64);
         }
 
-        // Step 1½: the content address s(G_*) — free, the canonical order
-        // is already in hand. A hit turns the search into one replay; a
-        // miss claims the key, so concurrent runs on the same quotient
-        // wait for this search instead of repeating it.
+        // Step 1½: the content address s(G_*). The quotient is numbered
+        // canonically, so node ids are canonical positions and cached
+        // tapes replay as they are. A hit turns the search into one
+        // replay; a miss claims the key, so concurrent runs on the same
+        // quotient wait for this search instead of repeating it.
         let t1 = Instant::now();
         let mut claim: Option<Claim<'_>> = None;
         let mut replayed = None;
         if let Some(cache) = &self.cache {
-            let key = anonet_graph::canonical::encode_with_order(q.graph(), &order);
-            match cache.lookup_or_claim(&self.problem_id(), &key) {
+            match cache.lookup_or_claim(&self.problem_id(), &q.encoding()) {
                 Lookup::Miss(c) => claim = Some(c),
-                Lookup::Hit(hit) if hit.tapes.len() == order.len() => {
-                    // Cached tapes are by canonical position; reindex them
-                    // to this presentation's node ids before replaying.
-                    let mut tapes = vec![BitString::new(); order.len()];
-                    for (pos, &v) in order.iter().enumerate() {
-                        tapes[v.index()] = hit.tapes[pos].clone();
-                    }
-                    let assignment = BitAssignment::new(tapes);
+                Lookup::Hit(hit) if hit.tapes.len() == j.node_count() => {
+                    let assignment = BitAssignment::new(hit.tapes);
                     let replay_span = Span::new(rec, names::SPAN_REPLAY);
                     let mut src = TapeSource::new(assignment.clone());
                     let execution = run(&Oblivious(self.alg.clone()), &j, &mut src, &self.config)?;
@@ -241,29 +234,20 @@ where
                     rec.counter(names::CACHE_MISS, 1);
                 }
                 let search_span = Span::new(rec, names::SPAN_SEARCH);
-                let sim = canonical_successful_simulation(
-                    &self.alg,
-                    &j,
-                    &order,
-                    self.strategy,
-                    &self.config,
-                )?;
+                let sim =
+                    canonical_successful_simulation(&self.alg, &j, self.strategy, &self.config)?;
                 drop(search_span);
                 if observing {
                     rec.counter(names::SEARCH_ATTEMPTS, sim.attempts as u64);
                 }
-                // Publish the found assignment under its content address,
-                // tapes keyed by canonical position so any isomorphic
-                // presentation can replay them. (A failed search drops the
-                // claim unpublished.)
+                // Publish the found assignment under its content address.
+                // Its tapes are by canonical position already, so any
+                // isomorphic presentation can replay them. (A failed search
+                // drops the claim unpublished.)
                 let simulation_rounds = sim.execution.rounds();
                 if let Some(claim) = claim {
-                    let tapes = order
-                        .iter()
-                        .map(|&v| sim.assignment.tape(v).cloned().unwrap_or_default())
-                        .collect();
                     claim.publish(CachedAssignment {
-                        tapes,
+                        tapes: sim.assignment.tapes().to_vec(),
                         attempts: sim.attempts,
                         simulation_rounds,
                     });
@@ -286,7 +270,7 @@ where
         Ok(DerandomizedRun {
             outputs,
             quotient_nodes: q.graph().node_count(),
-            multiplicity: q.multiplicity().unwrap_or(0),
+            multiplicity,
             assignment: sim.assignment,
             simulation_rounds,
             attempts: sim.attempts,

@@ -35,7 +35,7 @@ use std::marker::PhantomData;
 
 use anonet_graph::Label;
 use anonet_runtime::{Actions, ExecConfig, ObliviousAlgorithm};
-use anonet_views::{canonical_order, FoldedView, ViewMode};
+use anonet_views::{quotient, FoldedView, ViewMode};
 
 use crate::search::{canonical_successful_simulation, SearchStrategy};
 
@@ -104,13 +104,15 @@ where
         // Reconstruction level mirroring quotient_at_level's contract:
         // within a depth-d view use level (d - 2) / 2.
         let level = (depth.saturating_sub(2)) / 2;
-        let (quotient, own) = state.view.quotient_at_level(level).ok()?;
-        let order = canonical_order(&quotient, ViewMode::Portless).ok()?;
-        let j = quotient.map_labels(|(i, _c)| i.clone());
+        let (folded, own) = state.view.quotient_at_level(level).ok()?;
+        // The folded reconstruction numbers classes by folded level, not
+        // canonically. A prime graph is its own quotient, so quotienting
+        // it once more renumbers it canonically.
+        let q = quotient(&folded, ViewMode::Portless).ok().filter(|q| q.is_trivial())?;
+        let j = q.graph().map_labels(|(i, _c)| i.clone());
         let sim =
-            canonical_successful_simulation(&self.alg, &j, &order, self.strategy, &self.sim_config)
-                .ok()?;
-        sim.execution.output(own).cloned()
+            canonical_successful_simulation(&self.alg, &j, self.strategy, &self.sim_config).ok()?;
+        sim.execution.output(q.project(own)).cloned()
     }
 }
 
@@ -190,15 +192,25 @@ mod tests {
 
     #[test]
     fn message_level_matches_white_box_derandomizer() {
-        for n in [3usize, 6, 9, 12] {
-            let inst = colored_cycle(n);
-            let strategy = SearchStrategy::Exhaustive { max_total_bits: 24 };
+        let exhaustive = SearchStrategy::Exhaustive { max_total_bits: 24 };
+        let seeded = SearchStrategy::default();
+        let mut cases: Vec<_> = [3usize, 6, 9, 12].map(|n| (colored_cycle(n), exhaustive)).into();
+        // Greedily colored instances whose folded quotients are not
+        // numbered canonically.
+        let greedy = |g: anonet_graph::Graph| {
+            anonet_graph::coloring::greedy_two_hop_coloring(&g).map_labels(|&c| ((), c))
+        };
+        let path = greedy(generators::path(5).unwrap());
+        cases.extend([(path.clone(), exhaustive), (path, seeded)]);
+        cases.push((greedy(generators::grid(3, 3, false).unwrap()), seeded));
+        for (inst, strategy) in cases {
+            let n = inst.node_count();
             let exec = run_bounded(&inst, n, strategy);
-            assert_eq!(exec.status(), Status::Completed, "n = {n}");
+            assert_eq!(exec.status(), Status::Completed, "n = {n} {strategy:?}");
             assert!(exec.is_successful());
             let white_box =
                 Derandomizer::new(RandomizedMis::new()).with_strategy(strategy).run(&inst).unwrap();
-            assert_eq!(exec.outputs_unwrapped(), white_box.outputs, "n = {n}");
+            assert_eq!(exec.outputs_unwrapped(), white_box.outputs, "n = {n} {strategy:?}");
         }
     }
 

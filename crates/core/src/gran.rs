@@ -10,7 +10,7 @@
 //! Las-Vegas run is correct, so its verdict can be trusted
 //! ([`decide_by_simulation`]).
 
-use anonet_graph::{Label, LabeledGraph, NodeId};
+use anonet_graph::{Label, LabeledGraph};
 use anonet_runtime::{
     run, BitAssignment, DecisionOutput, ExecConfig, Oblivious, ObliviousAlgorithm, Problem,
     TapeSource,
@@ -84,12 +84,11 @@ where
     D::Input: Label,
 {
     let n = g.node_count();
-    let order: Vec<NodeId> = g.graph().nodes().collect();
     for t in 1.. {
         if n * t > max_total_bits {
             return Err(CoreError::SearchBudgetExceeded { quotient_nodes: n, max_total_bits });
         }
-        for assignment in BitAssignment::empty(n).extensions(t, &order) {
+        for assignment in BitAssignment::empty(n).extensions(t) {
             let mut src = TapeSource::new(assignment);
             let exec = run(&Oblivious(decider.clone()), g, &mut src, config)?;
             if exec.is_successful() {

@@ -247,7 +247,6 @@ mod tests {
         assert_eq!(snap.span("pipeline/coloring").unwrap().count, 1);
         assert_eq!(snap.span("pipeline/derandomize").unwrap().count, 1);
         assert_eq!(snap.span("pipeline/derandomize/views").unwrap().count, 1);
-        assert_eq!(snap.span("pipeline/derandomize/factor").unwrap().count, 1);
         assert_eq!(snap.span("pipeline/derandomize/search").unwrap().count, 1);
         assert_eq!(snap.span("pipeline/derandomize/lift").unwrap().count, 1);
         assert_eq!(snap.counter(names::ENGINE_BITS_DRAWN), run.random_bits as u64);

@@ -63,7 +63,8 @@ pub struct CanonicalSimulation<A: Algorithm> {
 }
 
 /// Finds the canonical successful simulation of `alg` on the quotient
-/// instance `j`, using `order` as the canonical node order.
+/// instance `j`, whose numbering is the canonical node order (as
+/// `anonet_views::quotient` builds it).
 ///
 /// # Errors
 ///
@@ -71,7 +72,6 @@ pub struct CanonicalSimulation<A: Algorithm> {
 pub fn canonical_successful_simulation<A>(
     alg: &A,
     j: &LabeledGraph<A::Input>,
-    order: &[NodeId],
     strategy: SearchStrategy,
     config: &ExecConfig,
 ) -> Result<CanonicalSimulation<Oblivious<A>>>
@@ -82,16 +82,15 @@ where
     let wrapped = Oblivious(alg.clone());
     match strategy {
         SearchStrategy::Exhaustive { max_total_bits } => {
-            exhaustive(&wrapped, j, order, max_total_bits, config)
+            exhaustive(&wrapped, j, max_total_bits, config)
         }
-        SearchStrategy::Seeded { max_attempts } => seeded(&wrapped, j, order, max_attempts, config),
+        SearchStrategy::Seeded { max_attempts } => seeded(&wrapped, j, max_attempts, config),
     }
 }
 
 fn exhaustive<A>(
     alg: &A,
     j: &LabeledGraph<A::Input>,
-    order: &[NodeId],
     max_total_bits: usize,
     config: &ExecConfig,
 ) -> Result<CanonicalSimulation<A>>
@@ -106,7 +105,7 @@ where
             return Err(CoreError::SearchBudgetExceeded { quotient_nodes: n, max_total_bits });
         }
         // All assignments of uniform length t, in canonical order.
-        for assignment in BitAssignment::empty(n).extensions(t, order) {
+        for assignment in BitAssignment::empty(n).extensions(t) {
             attempts += 1;
             let mut src = TapeSource::new(assignment.clone());
             let exec = run(alg, j, &mut src, config)?;
@@ -119,27 +118,23 @@ where
 }
 
 /// Deterministic bit source keyed on `(key, canonical position, round)`,
-/// SplitMix64-based. Never exhausts.
+/// SplitMix64-based, where node `i` is at canonical position `i`. Never
+/// exhausts.
 #[derive(Clone, Debug)]
 pub struct KeyedSource {
     key: u64,
-    position: Vec<u64>,
 }
 
 impl KeyedSource {
-    /// Creates a source for the given key and canonical node order.
-    pub fn new(key: u64, order: &[NodeId]) -> Self {
-        let mut position = vec![0u64; order.len()];
-        for (pos, &v) in order.iter().enumerate() {
-            position[v.index()] = pos as u64;
-        }
-        KeyedSource { key, position }
+    /// Creates a source for the given key.
+    pub fn new(key: u64) -> Self {
+        KeyedSource { key }
     }
 }
 
 impl RandomSource for KeyedSource {
     fn bit(&mut self, node: NodeId, round: usize) -> Option<bool> {
-        let pos = self.position.get(node.index()).copied()?;
+        let pos = node.index() as u64;
         Some(splitmix(self.key ^ pos.wrapping_mul(0x9E3779B97F4A7C15) ^ (round as u64)) & 1 == 1)
     }
 }
@@ -154,7 +149,6 @@ fn splitmix(mut x: u64) -> u64 {
 fn seeded<A>(
     alg: &A,
     j: &LabeledGraph<A::Input>,
-    order: &[NodeId],
     max_attempts: usize,
     config: &ExecConfig,
 ) -> Result<CanonicalSimulation<A>>
@@ -164,15 +158,15 @@ where
 {
     // The seed family is a function of the quotient: FNV-1a of its
     // canonical encoding s(J), hashed sparsely (no n² matrix).
-    let base = anonet_graph::canonical::encoding_fnv1a(j, order);
+    let base = anonet_graph::canonical::encoding_fnv1a(j);
     for attempt in 0..max_attempts {
         let key = splitmix(base ^ (attempt as u64).wrapping_mul(0xD1B54A32D192ED03));
-        let mut src = KeyedSource::new(key, order);
+        let mut src = KeyedSource::new(key);
         let exec = run(alg, j, &mut src, config)?;
         if exec.status() == Status::Completed && exec.is_successful() {
             // Reconstruct the tapes actually consumed (per node: one bit
             // per active round until it halted).
-            let mut replay = KeyedSource::new(key, order);
+            let mut replay = KeyedSource::new(key);
             let tapes: Vec<BitString> = j
                 .graph()
                 .nodes()
@@ -198,24 +192,22 @@ mod tests {
     use super::*;
     use anonet_algorithms::mis::RandomizedMis;
     use anonet_graph::generators;
-    use anonet_views::{canonical_order, ViewMode};
+    use anonet_views::{quotient, ViewMode};
 
-    fn c3_instance() -> (LabeledGraph<()>, Vec<NodeId>) {
-        // A prime 3-cycle as "quotient": canonical order needs distinct
-        // views, so order by the colored version but simulate on unit
-        // inputs (exactly what the derandomizer does).
+    fn c3_instance() -> LabeledGraph<()> {
+        // A prime 3-cycle as "quotient": canonically numbered by the
+        // colored version, simulated on unit inputs (exactly what the
+        // derandomizer does).
         let colored = generators::cycle(3).unwrap().with_labels(vec![1u32, 2, 3]).unwrap();
-        let order = canonical_order(&colored, ViewMode::Portless).unwrap();
-        (colored.map_labels(|_| ()), order)
+        quotient(&colored, ViewMode::Portless).unwrap().graph().map_labels(|_| ())
     }
 
     #[test]
     fn exhaustive_finds_minimal_mis_assignment() {
-        let (j, order) = c3_instance();
+        let j = c3_instance();
         let sim = canonical_successful_simulation(
             &RandomizedMis::new(),
             &j,
-            &order,
             SearchStrategy::Exhaustive { max_total_bits: 24 },
             &ExecConfig::default(),
         )
@@ -231,12 +223,11 @@ mod tests {
 
     #[test]
     fn exhaustive_is_deterministic() {
-        let (j, order) = c3_instance();
+        let j = c3_instance();
         let strategy = SearchStrategy::Exhaustive { max_total_bits: 24 };
         let a = canonical_successful_simulation(
             &RandomizedMis::new(),
             &j,
-            &order,
             strategy,
             &ExecConfig::default(),
         )
@@ -244,7 +235,6 @@ mod tests {
         let b = canonical_successful_simulation(
             &RandomizedMis::new(),
             &j,
-            &order,
             strategy,
             &ExecConfig::default(),
         )
@@ -256,11 +246,10 @@ mod tests {
 
     #[test]
     fn exhaustive_respects_budget() {
-        let (j, order) = c3_instance();
+        let j = c3_instance();
         let err = canonical_successful_simulation(
             &RandomizedMis::new(),
             &j,
-            &order,
             SearchStrategy::Exhaustive { max_total_bits: 5 }, // < 3 nodes × 3 rounds
             &ExecConfig::default(),
         )
@@ -270,12 +259,11 @@ mod tests {
 
     #[test]
     fn seeded_succeeds_and_is_deterministic() {
-        let (j, order) = c3_instance();
+        let j = c3_instance();
         let strategy = SearchStrategy::Seeded { max_attempts: 64 };
         let a = canonical_successful_simulation(
             &RandomizedMis::new(),
             &j,
-            &order,
             strategy,
             &ExecConfig::default(),
         )
@@ -283,7 +271,6 @@ mod tests {
         let b = canonical_successful_simulation(
             &RandomizedMis::new(),
             &j,
-            &order,
             strategy,
             &ExecConfig::default(),
         )
@@ -299,16 +286,15 @@ mod tests {
 
     #[test]
     fn keyed_source_is_a_pure_function() {
-        let order: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let mut a = KeyedSource::new(7, &order);
-        let mut b = KeyedSource::new(7, &order);
+        let mut a = KeyedSource::new(7);
+        let mut b = KeyedSource::new(7);
         for r in 1..50 {
             for v in 0..4 {
                 assert_eq!(a.bit(NodeId::new(v), r), b.bit(NodeId::new(v), r));
             }
         }
         // Different keys give different streams somewhere.
-        let mut c = KeyedSource::new(8, &order);
+        let mut c = KeyedSource::new(8);
         let differs = (1..200).any(|r| c.bit(NodeId::new(0), r) != b.bit(NodeId::new(0), r));
         assert!(differs);
     }

@@ -60,7 +60,6 @@ fn derandomizer_cache_miss_then_hit() {
     drop(derandomizer);
     let expected = "
         span derandomize/views
-        span derandomize/factor
         hist derand.quotient_nodes 3
         hist derand.multiplicity 1
         hist derand.view_depth 0
@@ -71,7 +70,6 @@ fn derandomizer_cache_miss_then_hit() {
         span derandomize/lift
         span derandomize
         span derandomize/views
-        span derandomize/factor
         hist derand.quotient_nodes 3
         hist derand.multiplicity 4
         hist derand.view_depth 0
@@ -108,7 +106,6 @@ fn pipeline_on_the_six_cycle() {
         hist engine.bits_per_node 9
         hist engine.bits_per_node 10
         span pipeline/derandomize/views
-        span pipeline/derandomize/factor
         hist derand.quotient_nodes 6
         hist derand.multiplicity 1
         hist derand.view_depth 0

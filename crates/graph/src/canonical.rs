@@ -6,8 +6,8 @@
 //!
 //! * [`encode_with_order`] — the `s(·)` encoding given a node order (the
 //!   views machinery in `anonet-views` supplies the canonical view order);
-//! * [`encoding_fnv1a`] — the FNV-1a hash of that encoding, computed from
-//!   the labels and edges alone in `O((n + m) log n)` time and `O(n)`
+//! * [`encoding_fnv1a`] — the FNV-1a hash of that encoding under the
+//!   graph's own numbering, computed from the labels and edges alone in `O((n + m) log n)` time and `O(n)`
 //!   memory, without the `Θ(n²)` adjacency triangle;
 //! * [`min_encoding`] — a canonical (order-independent) encoding obtained
 //!   by minimizing over permutations, feasible for the tiny graphs handled
@@ -88,30 +88,25 @@ fn fnv1a_zeros(h: u64, mut k: u64) -> u64 {
     h.wrapping_mul(pow)
 }
 
-/// Exactly `fnv1a(&encode_with_order(g, order))`, without building the
-/// encoding.
+/// Exactly `fnv1a(&encode_with_order(g, order))` for the identity order
+/// (node `i` at position `i`), without building the encoding.
 ///
 /// The `n` + labels prefix is hashed as written; of the adjacency
-/// triangle only the non-zero bytes are visited, walking rows in `order`
-/// with each row's later neighbours sorted by position. Every run of zero
+/// triangle only the non-zero bytes are visited, walking rows in node
+/// order with each row's later neighbours sorted. Every run of zero
 /// bytes between them is absorbed in one step ([`fnv1a`] of a zero byte
 /// is a multiplication by the prime). Cost is `O((n + m) log n)` time and
 /// `O(n)` memory, so it keys million-node quotients whose dense encoding
 /// would not fit in memory.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of the graph's nodes.
-pub fn encoding_fnv1a<L: Label>(g: &LabeledGraph<L>, order: &[NodeId]) -> u64 {
+pub fn encoding_fnv1a<L: Label>(g: &LabeledGraph<L>) -> u64 {
     let n = g.node_count();
-    let pos = positions(n, order);
 
     let mut buf = Vec::new();
     (n as u64).encode(&mut buf);
     let mut h = fnv1a_extend(FNV_OFFSET, &buf);
-    for &v in order {
+    for label in g.labels() {
         buf.clear();
-        g.label(v).encode(&mut buf);
+        label.encode(&mut buf);
         h = fnv1a_extend(h, &buf);
     }
 
@@ -122,10 +117,10 @@ pub fn encoding_fnv1a<L: Label>(g: &LabeledGraph<L>, order: &[NodeId]) -> u64 {
     let mut next_byte = 0u64; // first triangle byte not yet hashed
     let mut pending: Option<(u64, u8)> = None; // byte index, bits so far
     let mut row: Vec<u64> = Vec::new();
-    for (i, &v) in order.iter().enumerate() {
-        let i = i as u64;
+    for v in g.graph().nodes() {
+        let i = v.index() as u64;
         row.clear();
-        row.extend(g.graph().neighbors(v).iter().map(|u| pos[u.index()]).filter(|&j| j > i));
+        row.extend(g.graph().neighbors(v).iter().map(|u| u.index() as u64).filter(|&j| j > i));
         row.sort_unstable();
         let row_start = i * (n64 - 1) - i * i.saturating_sub(1) / 2;
         for &j in &row {
@@ -257,10 +252,11 @@ mod tests {
     }
 
     /// The sparse key against the dense encoding it stands for.
-    fn assert_sparse_key_matches<L: Label>(g: &LabeledGraph<L>, order: &[NodeId]) {
+    fn assert_sparse_key_matches<L: Label>(g: &LabeledGraph<L>) {
+        let identity: Vec<NodeId> = g.graph().nodes().collect();
         assert_eq!(
-            encoding_fnv1a(g, order),
-            fnv1a(&encode_with_order(g, order)),
+            encoding_fnv1a(g),
+            fnv1a(&encode_with_order(g, &identity)),
             "n = {}, m = {}",
             g.node_count(),
             g.graph().edge_count()
@@ -269,7 +265,7 @@ mod tests {
 
     #[test]
     fn sparse_key_equals_fnv1a_of_the_dense_encoding() {
-        use rand::seq::SliceRandom;
+        use crate::lift::Perm;
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5eed);
         for n in 1..=64usize {
@@ -282,21 +278,20 @@ mod tests {
             if n >= 3 {
                 graphs.push(generators::cycle(n).unwrap());
             }
-            for g in graphs {
-                let mut order: Vec<NodeId> = g.nodes().collect();
+            for mut g in graphs {
                 for shuffled in [false, true] {
                     if shuffled {
-                        order.shuffle(&mut rng);
+                        g = g.renumber(&Perm::random(n, &mut rng)).unwrap();
                     }
                     let words: Vec<u32> = (0..n).map(|_| rng.gen_range(0..5u32)).collect();
                     let bits: Vec<BitString> =
                         (0..n).map(|i| BitString::from_value(i as u64 % 7, i % 5)).collect();
                     let pairs: Vec<(u32, BitString)> =
                         words.iter().copied().zip(bits.iter().cloned()).collect();
-                    assert_sparse_key_matches(&g.with_uniform_label(()), &order);
-                    assert_sparse_key_matches(&g.with_labels(words).unwrap(), &order);
-                    assert_sparse_key_matches(&g.with_labels(bits).unwrap(), &order);
-                    assert_sparse_key_matches(&g.with_labels(pairs).unwrap(), &order);
+                    assert_sparse_key_matches(&g.with_uniform_label(()));
+                    assert_sparse_key_matches(&g.with_labels(words).unwrap());
+                    assert_sparse_key_matches(&g.with_labels(bits).unwrap());
+                    assert_sparse_key_matches(&g.with_labels(pairs).unwrap());
                 }
             }
         }
@@ -308,10 +303,9 @@ mod tests {
         let n = 1_000_000;
         let cycle = generators::cycle(n).unwrap().with_uniform_label(0u8);
         let path = generators::path(n).unwrap().with_uniform_label(0u8);
-        let order: Vec<NodeId> = cycle.graph().nodes().collect();
-        let key = encoding_fnv1a(&cycle, &order);
-        assert_eq!(key, encoding_fnv1a(&cycle, &order));
-        assert_ne!(key, encoding_fnv1a(&path, &order));
+        let key = encoding_fnv1a(&cycle);
+        assert_eq!(key, encoding_fnv1a(&cycle));
+        assert_ne!(key, encoding_fnv1a(&path));
     }
 
     #[test]

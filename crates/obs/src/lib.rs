@@ -179,8 +179,6 @@ pub mod names {
     pub const SPAN_DERANDOMIZE: &str = "derandomize";
     /// View-quotient construction.
     pub const SPAN_VIEWS: &str = "views";
-    /// Canonical prime-factor ordering.
-    pub const SPAN_FACTOR: &str = "factor";
     /// The `A_*` search for a successful simulation.
     pub const SPAN_SEARCH: &str = "search";
     /// Replaying a cached assignment.

@@ -109,36 +109,30 @@ impl BitAssignment {
     }
 
     /// Enumerates all `2^(n·extra)` extensions of `self` by `extra` more
-    /// bits per node, in the canonical order induced by `node_order`
-    /// (smallest first). The borrowed data is cloned into the iterator.
+    /// bits per node, smallest first in the canonical order with node `i`
+    /// at position `i` (callers number their graphs canonically). The
+    /// borrowed data is cloned into the iterator.
     ///
     /// This is the search space of the paper's `Update-Bits`: all
     /// `p`-extensions of the current assignment.
     ///
     /// # Panics
     ///
-    /// Panics if `node_order` is not a permutation of the assignment's
-    /// nodes, or if `n·extra ≥ 64` (the enumeration would not terminate in
+    /// Panics if `n·extra ≥ 64` (the enumeration would not terminate in
     /// any reasonable time anyway).
-    pub fn extensions(
-        &self,
-        extra: usize,
-        node_order: &[NodeId],
-    ) -> impl Iterator<Item = BitAssignment> + '_ {
-        assert_eq!(node_order.len(), self.tapes.len(), "node order must cover the assignment");
+    pub fn extensions(&self, extra: usize) -> impl Iterator<Item = BitAssignment> + '_ {
         let total_bits = self.tapes.len() * extra;
         assert!(total_bits < 64, "extension space of 2^{total_bits} is not enumerable");
         let base = self.clone();
-        let order: Vec<NodeId> = node_order.to_vec();
         (0u64..(1u64 << total_bits)).map(move |code| {
-            // The order must make earlier nodes' bits more significant so
-            // that increasing `code` enumerates in canonical order.
+            // Earlier nodes' bits are more significant, so increasing
+            // `code` enumerates in canonical order.
             let mut tapes = base.tapes.clone();
             let mut shift = total_bits;
-            for &v in &order {
+            for tape in &mut tapes {
                 for _ in 0..extra {
                     shift -= 1;
-                    tapes[v.index()].push((code >> shift) & 1 == 1);
+                    tape.push((code >> shift) & 1 == 1);
                 }
             }
             BitAssignment { tapes }
@@ -211,7 +205,7 @@ mod tests {
     fn extensions_enumerate_in_canonical_order() {
         let base = BitAssignment::empty(2);
         let ord = order(2);
-        let all: Vec<BitAssignment> = base.extensions(1, &ord).collect();
+        let all: Vec<BitAssignment> = base.extensions(1).collect();
         assert_eq!(all.len(), 4);
         // Must be sorted under cmp_in_order.
         for w in all.windows(2) {
@@ -228,18 +222,17 @@ mod tests {
     #[test]
     fn extensions_respect_existing_prefixes() {
         let base = BitAssignment::new(vec![bs("1"), bs("0")]);
-        let ord = order(2);
-        for ext in base.extensions(2, &ord) {
+        for ext in base.extensions(2) {
             assert!(ext.extends(&base));
             assert!(ext.is_uniform_length(3));
         }
-        assert_eq!(base.extensions(2, &ord).count(), 16);
+        assert_eq!(base.extensions(2).count(), 16);
     }
 
     #[test]
     #[should_panic(expected = "not enumerable")]
     fn extensions_reject_huge_spaces() {
         let base = BitAssignment::empty(8);
-        let _ = base.extensions(8, &order(8));
+        let _ = base.extensions(8);
     }
 }

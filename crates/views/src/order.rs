@@ -8,7 +8,13 @@ use crate::refinement::{Refinement, ViewMode};
 use crate::Result;
 
 /// Computes the canonical total order on the nodes of a graph whose views
-/// are all distinct (e.g. a view quotient / a prime 2-hop colored graph).
+/// are all distinct (a prime 2-hop colored graph).
+///
+/// A [`ViewQuotient`](crate::ViewQuotient) needs no call: its numbering
+/// already is this order (node `c` is stable class `c`), so its
+/// [`encoding`](crate::ViewQuotient::encoding) is `s(G_*)`. This function
+/// serves prime graphs that were not built by [`quotient`](crate::quotient),
+/// such as leader election's input and the reference [`update_graph_cmp`].
 ///
 /// The paper orders `V_∞` by comparing canonical representations of the
 /// depth-∞ view trees level by level. We use the equivalent

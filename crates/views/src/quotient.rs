@@ -1,7 +1,7 @@
 //! The finite view graph `G_*` — the quotient of a graph by view
 //! equivalence (paper, Definition 1 and Section 3).
 
-use anonet_graph::{Graph, Label, LabeledGraph, NodeId};
+use anonet_graph::{canonical, Graph, Label, LabeledGraph, NodeId};
 
 use crate::error::ViewError;
 use crate::refinement::{Refinement, ViewMode};
@@ -15,6 +15,13 @@ use crate::Result;
 /// label-preserving, and a local isomorphism. Construction fails with a
 /// descriptive error when the quotient would not be a simple graph — which
 /// by (the argument of) Lemma 2 never happens on 2-hop colored graphs.
+///
+/// **The numbering is the canonical order.** Quotient node `c` is stable
+/// refinement class `c`. Because the projection is a covering, refining
+/// the quotient gives the same keys, dense ranks and depth as refining
+/// the instance, so [`canonical_order`](crate::canonical_order) of
+/// [`graph`](Self::graph) is the identity: callers read canonical
+/// positions straight off node indices and never order a quotient again.
 ///
 /// # Example
 ///
@@ -62,17 +69,25 @@ impl<L: Label> ViewQuotient<L> {
         &self.representatives
     }
 
-    /// Size of the fiber over quotient node `c`.
-    pub fn fiber_size(&self, c: NodeId) -> usize {
-        self.class_of.iter().filter(|&&x| x == c).count()
-    }
-
     /// `Some(m)` if every fiber has the same size `m` (always the case for
     /// quotients of connected graphs: `|V| = m·|V_*|`, paper Section
     /// 2.3.1), `None` otherwise.
     pub fn multiplicity(&self) -> Option<usize> {
-        let first = self.fiber_size(NodeId::new(0));
-        self.graph.graph().nodes().all(|c| self.fiber_size(c) == first).then_some(first)
+        let mut sizes = vec![0usize; self.graph.node_count()];
+        for c in &self.class_of {
+            sizes[c.index()] += 1;
+        }
+        let first = sizes.first().copied().unwrap_or(0);
+        sizes.iter().all(|&s| s == first).then_some(first)
+    }
+
+    /// The content address `s(G_*)`: the quotient encoded in its own
+    /// numbering, which is the canonical order (see the type docs).
+    /// Isomorphism-invariant: instances with isomorphic quotients, in
+    /// particular all lifts of a common base (Lemma 3), get equal bytes.
+    pub fn encoding(&self) -> Vec<u8> {
+        let order: Vec<NodeId> = self.graph.graph().nodes().collect();
+        canonical::encode_with_order(&self.graph, &order)
     }
 
     /// `true` iff the quotient is trivial: the original graph already had
@@ -326,6 +341,30 @@ mod tests {
             let q = quotient(&colored_cycle(n), ViewMode::Portless).unwrap();
             assert_eq!(q.multiplicity(), Some(n / 3), "n = {n}");
         }
+    }
+
+    #[test]
+    fn multiplicity_is_the_common_fiber_size() {
+        use rand::SeedableRng;
+        let petersen = anonet_graph::coloring::greedy_two_hop_coloring(&generators::petersen());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        for m in 2..=4usize {
+            let l = anonet_graph::lift::random_connected_lift(petersen.graph(), m, 100, &mut rng)
+                .unwrap();
+            let g = l.lift_labels(petersen.labels()).unwrap();
+            for mode in [ViewMode::Portless, ViewMode::PortAware] {
+                assert_eq!(quotient(&g, mode).unwrap().multiplicity(), Some(m), "m = {m}");
+            }
+        }
+        let prime = generators::petersen().with_labels((0..10u32).collect()).unwrap();
+        assert_eq!(quotient(&prime, ViewMode::Portless).unwrap().multiplicity(), Some(1));
+        // C3(1,2,3) ⊔ C3(4,5,6) ⊔ C3(4,5,6): fibers of sizes 1 and 2.
+        let triangles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7), (7, 8), (8, 6)];
+        let unequal = Graph::from_edges(9, &triangles)
+            .unwrap()
+            .with_labels(vec![1u32, 2, 3, 4, 5, 6, 4, 5, 6])
+            .unwrap();
+        assert_eq!(quotient(&unequal, ViewMode::Portless).unwrap().multiplicity(), None);
     }
 
     #[test]

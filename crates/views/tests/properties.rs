@@ -1,7 +1,10 @@
 //! Property-based tests for the views machinery on random graphs.
 
+use anonet_graph::generators::Family;
 use anonet_graph::{coloring, generators, iso, lift, Graph, NodeId};
-use anonet_views::{canonical_order, quotient, FoldedView, Refinement, ViewMode, ViewTree};
+use anonet_views::{
+    canonical_encoding, canonical_order, quotient, FoldedView, Refinement, ViewMode, ViewTree,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -102,4 +105,39 @@ proptest! {
         prop_assert!(qq.is_trivial());
         prop_assert!(iso::are_isomorphic(qq.graph(), q.graph()));
     }
+}
+
+/// The invariant callers rely on instead of refining a quotient again:
+/// a quotient's numbering is its canonical order, so its encoding is
+/// `s(G_*)`. Swept over every generator family, each as a greedy 2-hop
+/// coloring plus connected 2- and 3-lifts of it, in both view modes.
+#[test]
+fn quotient_numbering_is_the_canonical_order() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0C0D);
+    let (mut checked, mut nontrivial) = (0usize, 0usize);
+    for family in Family::ALL {
+        for n in 3..40usize {
+            let colored = coloring::greedy_two_hop_coloring(&family.sample(n, &mut rng).unwrap());
+            let mut instances = vec![colored.clone()];
+            for m in [2usize, 3] {
+                // Lifts of trees are never connected; skip those.
+                if let Ok(l) = lift::random_connected_lift(colored.graph(), m, 50, &mut rng) {
+                    instances.push(l.lift_labels(colored.labels()).unwrap());
+                }
+            }
+            for g in &instances {
+                for mode in [ViewMode::Portless, ViewMode::PortAware] {
+                    let q = quotient(g, mode).expect("2-hop colored");
+                    let identity: Vec<NodeId> = q.graph().graph().nodes().collect();
+                    let order = canonical_order(q.graph(), mode).expect("quotients are prime");
+                    assert_eq!(order, identity, "{family:?} n={n} {mode:?}");
+                    assert_eq!(q.encoding(), canonical_encoding(q.graph(), mode).unwrap());
+                    checked += 1;
+                    nontrivial += usize::from(!q.is_trivial());
+                }
+            }
+        }
+    }
+    assert!(checked >= 14 * 37 * 2, "only {checked} quotients checked");
+    assert!(nontrivial >= 1000, "only {nontrivial} non-trivial quotients");
 }
